@@ -12,7 +12,9 @@ where a tail Z is big for a multidegree d of total degree D when
 
 and only big tails avoiding the principal component are twisted.  Each
 twist by a tail Z moves one unit of degree across the separating node, so
-the deltas have total degree zero.
+the deltas have total degree zero.  A twist by Z changes no other tail
+avoiding the principal component, so the degree of such a tail on e_d
+counts the steps e_1 .. e_{d-1} at which it was big.
 
 Point images are purely formal: a divisor is a vector of integer
 coefficients on smooth-point labels and on node branches (a node n with
@@ -24,7 +26,6 @@ their coefficients agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Sequence, Union
 
 from .classify import small_tail_at_node, small_tails
@@ -121,18 +122,19 @@ def twist_delta(tree: CurveTree, tail: Tail, sign: int) -> TwistDelta:
     """
     if sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign}")
-    end_a, end_b = tree.node_ends(tail.node)
-    inside, outside = (
-        (end_a, end_b) if tree.contains(tail.side, end_a) else (end_b, end_a)
-    )
-    md = tree.unit_multidegree(inside) - tree.unit_multidegree(outside)
+    inside, outside = tree.tail_ends(tail)
+    md = (tree.unit_multidegree(inside) - tree.unit_multidegree(outside)).scaled(-sign)
     rep = DivisorRep.from_mapping(
-        {Branch(tail.node, inside): 1, Branch(tail.node, outside): -1}
+        {Branch(tail.node, inside): -sign, Branch(tail.node, outside): sign}
     )
-    if sign == 1:
-        md = md.scaled(-1)
-        rep = DivisorRep.from_mapping({sym: -c for sym, c in rep.coeffs})
     return TwistDelta(tail, md, rep)
+
+
+def _add_twist(acc: dict[Symbol, int], tree: CurveTree, tail: Tail, count: int) -> None:
+    """Add ``count`` times the divisor of the twist by O(-Z) to ``acc``."""
+    inside, outside = tree.tail_ends(tail)
+    for sym, c in ((Branch(tail.node, inside), count), (Branch(tail.node, outside), -count)):
+        acc[sym] = acc.get(sym, 0) + c
 
 
 def e1(tree: CurveTree, xpr: str) -> Multidegree:
@@ -140,18 +142,21 @@ def e1(tree: CurveTree, xpr: str) -> Multidegree:
     return tree.unit_multidegree(xpr)
 
 
-def big_tails(tree: CurveTree, md: Multidegree, component_id: str) -> tuple[Tail, ...]:
-    """Big tails of the multidegree that avoid the given component."""
+def _big(tree: CurveTree, md: Multidegree, component_id: str) -> list[bool]:
+    """Whether each tail is big for md and avoids the component (``tails`` order)."""
     g = tree.genus
     d = md.total
-    out = []
-    for tail in tree.tails:
-        if tree.contains(tail.side, component_id):
-            continue
-        gz = tree.subcurve_genus(tail.side)
-        if md.on(tail.side) * (2 * g - 2) - d * tree.omega_degree(tail.side) < 2 * gz - g:
-            out.append(tail)
-    return tuple(out)
+    return [
+        away and dz * (2 * g - 2) - d * (2 * gz - 1) < 2 * gz - g
+        for dz, gz, away in zip(
+            tree.tail_sums(md.degrees), tree.tail_genera, tree.avoids(component_id)
+        )
+    ]
+
+
+def big_tails(tree: CurveTree, md: Multidegree, component_id: str) -> tuple[Tail, ...]:
+    """Big tails of the multidegree that avoid the given component."""
+    return tuple(t for t, big in zip(tree.tails, _big(tree, md, component_id)) if big)
 
 
 def twist_step(tree: CurveTree, md: Multidegree, component_id: str) -> Multidegree:
@@ -160,18 +165,13 @@ def twist_step(tree: CurveTree, md: Multidegree, component_id: str) -> Multidegr
     Applied to an X-quasistable multidegree this yields an X-quasistable
     multidegree of total degree one higher.
     """
-    out = md + tree.unit_multidegree(component_id)
-    for tail in big_tails(tree, md, component_id):
-        out = out + twist_delta(tree, tail, -1).multidegree
-    return out
+    return tree.twist(md + tree.unit_multidegree(component_id), _big(tree, md, component_id))
 
 
-@lru_cache(maxsize=None)
 def e_sequence(tree: CurveTree, xpr: str, dmax: int) -> tuple[Multidegree, ...]:
     """Canonical multidegrees e_1 .. e_dmax for the given principal choice.
 
-    Cached by value; the degree-d image construction consumes this cache,
-    so the stepwise and product forms of the map share one twist stack.
+    Built by the twist recursion, one O(n) :func:`twist_step` per degree.
     """
     if dmax < 1:
         raise ValueError(f"dmax must be >= 1, got {dmax}")
@@ -213,14 +213,11 @@ def abel1(tree: CurveTree, xpr: str, point: Point) -> DivisorRep:
     if isinstance(point, SmoothPoint):
         acc[point] = 1
     else:
-        small = small_tail_at_node(tree, xpr, point.node)
-        end_a, end_b = tree.node_ends(point.node)
-        inside = end_a if tree.contains(small.side, end_a) else end_b
+        inside = tree.tail_ends(small_tail_at_node(tree, xpr, point.node))[0]
         acc[Branch(point.node, inside)] = 1
     for tail in small_tails(tree, xpr):
         if _point_in_tail(tree, point, tail):
-            for sym, c in twist_delta(tree, tail, 1).divisor.coeffs:
-                acc[sym] = acc.get(sym, 0) + c
+            _add_twist(acc, tree, tail, -1)
     return DivisorRep.from_mapping(acc)
 
 
@@ -228,8 +225,8 @@ def abel_d(tree: CurveTree, xpr: str, config: Sequence[Point]) -> DivisorRep:
     """Degree-d image of an ordered point configuration.
 
     The sum of the degree-1 images, twisted down by the big tails of each
-    e_1 .. e_{d-1}.  The result is symmetric in the configuration and its
-    multidegree is e_d.
+    e_1 .. e_{d-1}, that is, by each tail Z avoiding the principal component
+    d_Z(e_d) times.  It is symmetric in the configuration, of multidegree e_d.
     """
     if not config:
         raise ValueError("point configuration must be non-empty")
@@ -237,10 +234,8 @@ def abel_d(tree: CurveTree, xpr: str, config: Sequence[Point]) -> DivisorRep:
     for point in config:
         for sym, c in abel1(tree, xpr, point).coeffs:
             acc[sym] = acc.get(sym, 0) + c
-    d = len(config)
-    if d > 1:
-        for md in e_sequence(tree, xpr, d - 1):
-            for tail in big_tails(tree, md, xpr):
-                for sym, c in twist_delta(tree, tail, -1).divisor.coeffs:
-                    acc[sym] = acc.get(sym, 0) + c
+    e_d = e_sequence(tree, xpr, len(config))[-1]
+    for tail, count, away in zip(tree.tails, tree.tail_sums(e_d.degrees), tree.avoids(xpr)):
+        if away and count:
+            _add_twist(acc, tree, tail, count)
     return DivisorRep.from_mapping(acc)

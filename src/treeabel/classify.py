@@ -5,6 +5,9 @@ complement has genus strictly below (at most) half the total genus.  A
 valid tree has at most one central component; it has none exactly when some
 node splits the curve into two halves of equal genus, in which case exactly
 two semicentral components exist and they are joined by a node.
+
+The connected parts of a component's complement are the tails at its own
+nodes, on the far side, so every test here reads tail genera.
 """
 
 from __future__ import annotations
@@ -22,28 +25,25 @@ class Classification:
     principal: str
 
 
+def _largest_part_genus(tree: CurveTree) -> dict[str, int]:
+    """Per component: the largest genus among the connected parts of its complement."""
+    largest = dict.fromkeys(tree.ids, 0)
+    for tail, genus in zip(tree.tails, tree.tail_genera):
+        outside = tree.tail_ends(tail)[1]
+        largest[outside] = max(largest[outside], genus)
+    return largest
+
+
 def central_components(tree: CurveTree) -> tuple[str, ...]:
     """Components whose complement parts all have genus < g/2 (2*g_Z < g)."""
     g = tree.genus
-    out = []
-    for cid in tree.ids:
-        sub = tree.subcurve([cid])
-        parts = tree.connected_parts(tree.complement(sub))
-        if all(2 * tree.subcurve_genus(z) < g for z in parts):
-            out.append(cid)
-    return tuple(out)
+    return tuple(cid for cid, top in _largest_part_genus(tree).items() if 2 * top < g)
 
 
 def semicentral_components(tree: CurveTree) -> tuple[str, ...]:
     """Components whose complement parts all have genus <= g/2 (2*g_Z <= g)."""
     g = tree.genus
-    out = []
-    for cid in tree.ids:
-        sub = tree.subcurve([cid])
-        parts = tree.connected_parts(tree.complement(sub))
-        if all(2 * tree.subcurve_genus(z) <= g for z in parts):
-            out.append(cid)
-    return tuple(out)
+    return tuple(cid for cid, top in _largest_part_genus(tree).items() if 2 * top <= g)
 
 
 def is_in_delta_half(tree: CurveTree) -> bool:
@@ -54,9 +54,7 @@ def is_in_delta_half(tree: CurveTree) -> bool:
     valid tree, so a mismatch is an internal error, never a result.
     """
     g = tree.genus
-    by_nodes = g % 2 == 0 and any(
-        2 * tree.subcurve_genus(t.side) == g for t in tree.tails
-    )
+    by_nodes = any(2 * genus == g for genus in tree.tail_genera)
     by_central = not central_components(tree)
     if by_nodes != by_central:
         raise RuntimeError(
@@ -90,12 +88,11 @@ def principal_component(tree: CurveTree) -> str:
 def small_tails(tree: CurveTree, xpr: str) -> tuple[Tail, ...]:
     """Tails of genus < g/2, plus genus-g/2 tails whose complement holds xpr."""
     g = tree.genus
-    out = []
-    for tail in tree.tails:
-        twice = 2 * tree.subcurve_genus(tail.side)
-        if twice < g or (twice == g and not tree.contains(tail.side, xpr)):
-            out.append(tail)
-    return tuple(out)
+    return tuple(
+        tail
+        for tail, genus, away in zip(tree.tails, tree.tail_genera, tree.avoids(xpr))
+        if 2 * genus < g or (2 * genus == g and away)
+    )
 
 
 def small_tail_at_node(tree: CurveTree, xpr: str, node_id: str) -> Tail:

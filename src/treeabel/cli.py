@@ -22,10 +22,26 @@ def _emit(payload: object) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _load_tree(path: str) -> CurveTree:
+def _reject_duplicates(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    out: dict[str, object] = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"duplicate key '{key}' in a JSON object")
+        out[key] = value
+    return out
+
+
+def _read_json(path: str) -> object:
+    """Parse a JSON file, rejecting duplicate keys and too-deep nesting."""
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    return CurveTree.from_data(data)
+        try:
+            return json.load(handle, object_pairs_hook=_reject_duplicates)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def _load_tree(path: str) -> CurveTree:
+    return CurveTree.from_data(_read_json(path))
 
 
 def _resolve_principal(tree: CurveTree, override: str | None, force: bool) -> str:
@@ -57,6 +73,9 @@ def _parse_points(tree: CurveTree, spec: str) -> list[Point]:
         else:
             if head not in tree.ids:
                 raise ValueError(f"unknown component '{head}'")
+            if "@" in rest:
+                # labels share the output keys with node branches, named NODE@COMP
+                raise ValueError(f"bad point token '{token}': labels cannot contain '@'")
             points.append(SmoothPoint(head, rest))
     if not points:
         raise ValueError("no points given")
@@ -72,9 +91,7 @@ def _divisor_payload(tree: CurveTree, rep: DivisorRep) -> dict[str, dict[str, in
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    with open(args.file, encoding="utf-8") as handle:
-        data = json.load(handle)
-    report = validate(data)
+    report = validate(_read_json(args.file))
     _emit({"ok": report.ok, "violations": list(report.violations)})
     return 0 if report.ok else 1
 

@@ -39,22 +39,21 @@ class ComparisonReport:
 
 
 def _half_genus_tail(tree: CurveTree, component_id: str) -> Tail:
-    """The unique genus-g/2 connected part of the component's complement."""
+    """The unique genus-g/2 connected part of the component's complement.
+
+    Those parts are the tails at the component's own nodes, on the far side.
+    """
     g = tree.genus
-    sub = tree.subcurve([component_id])
-    parts = [
-        part
-        for part in tree.connected_parts(tree.complement(sub))
-        if 2 * tree.subcurve_genus(part) == g
+    matches = [
+        tail
+        for tail, genus in zip(tree.tails, tree.tail_genera)
+        if 2 * genus == g and tree.tail_ends(tail)[1] == component_id
     ]
-    if len(parts) != 1:
+    if len(matches) != 1:
         raise RuntimeError(
             f"internal check failed: complement of '{component_id}' has "
-            f"{len(parts)} genus-g/2 parts"
+            f"{len(matches)} genus-g/2 parts"
         )
-    matches = [t for t in tree.tails if t.side == parts[0]]
-    if len(matches) != 1:
-        raise RuntimeError("internal check failed: genus-g/2 part is not a tail")
     return matches[0]
 
 

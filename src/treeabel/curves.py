@@ -6,6 +6,11 @@ downstream (semistability inequalities, canonical Abel-map multidegrees)
 is computed from this combinatorial model, so construction is strict: a
 ``CurveTree`` violating treeness or stability cannot be built.
 
+Every question the package decides reduces to facts about tails, the two
+sides of a node.  A tree keeps one rooted index (BFS order and parents from
+component 0) from which come the tails and one O(n) primitive,
+:meth:`CurveTree.tail_sums`, giving every tail's degree or genus.
+
 Subcurves are bitsets over the canonical (lexicographic) component order,
 which keeps complements and containment tests cheap and every enumeration
 deterministic.
@@ -312,10 +317,13 @@ class CurveTree:
         return self._genera[self._index[component_id]]
 
     def node_ends(self, node_id: str) -> tuple[str, str]:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node.ends
-        raise KeyError(f"unknown node '{node_id}'")
+        if node_id not in self._node_ends:
+            raise KeyError(f"unknown node '{node_id}'")
+        return self._node_ends[node_id]
+
+    @cached_property
+    def _node_ends(self) -> dict[str, tuple[str, str]]:
+        return {node.id: node.ends for node in self.nodes}
 
     # -- subcurve combinatorics ------------------------------------------
 
@@ -382,9 +390,6 @@ class CurveTree:
             remaining &= ~part
         return tuple(parts)
 
-    def is_connected(self, sub: Subcurve) -> bool:
-        return len(self.connected_parts(sub)) == 1
-
     def omega_degree(self, sub: Subcurve) -> int:
         """Degree of the dualizing sheaf restricted to the subcurve.
 
@@ -396,70 +401,109 @@ class CurveTree:
             for part in self.connected_parts(sub)
         )
 
+    # -- the rooted tail index -------------------------------------------
+
     @cached_property
-    def tails(self) -> tuple[Tail, ...]:
-        """All 2 * #nodes tails, grouped per node, smaller side first."""
-        out: list[Tail] = []
-        for node_id, a, b in self._edges:
-            side_a = self._side_of(a, node_id)
-            side_b = Subcurve(self.full.mask ^ side_a.mask)
-            pair = sorted(
-                (Tail(node_id, side_a), Tail(node_id, side_b)),
-                key=lambda t: (t.side.mask.bit_count(), self.members(t.side)),
-            )
-            out.extend(pair)
+    def _rooted(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """BFS order and parent positions from component 0 (whose parent is -1)."""
+        neighbors: list[list[int]] = [[] for _ in self.ids]
+        for _, a, b in self._edges:
+            neighbors[a].append(b)
+            neighbors[b].append(a)
+        parent = [-1] * len(self.ids)
+        order = [0]
+        for v in order:
+            for w in neighbors[v]:
+                if w != parent[v]:
+                    parent[w] = v
+                    order.append(w)
+        return tuple(order), tuple(parent)
+
+    def _below(self, values: Sequence[int]) -> list[int]:
+        """Per component v: the sum of ``values`` over the subtree rooted at v."""
+        order, parent = self._rooted
+        below = list(values)
+        for v in reversed(order[1:]):
+            below[parent[v]] += below[v]
+        return below
+
+    @cached_property
+    def _tail_roots(self) -> tuple[tuple[int, bool], ...]:
+        """Per tail: its node's subtree root v, and whether the tail is below v."""
+        n = len(self.ids)
+        parent = self._rooted[1]
+        sizes = self._below([1] * n)
+        out: list[tuple[int, bool]] = []
+        for _, a, b in self._edges:
+            v = b if parent[b] == a else a
+            # on a tie, the side holding component 0 (the first id) sorts first
+            below_first = 2 * sizes[v] < n
+            out += [(v, below_first), (v, not below_first)]
         return tuple(out)
 
-    def _side_of(self, start: int, cut_node: str) -> Subcurve:
-        mask = 1 << start
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for node_id, a, b in self._edges:
-                if node_id == cut_node:
-                    continue
-                if a == i or b == i:
-                    j = b if a == i else a
-                    if not mask >> j & 1:
-                        mask |= 1 << j
-                        stack.append(j)
-        return Subcurve(mask)
+    def tail_sums(self, values: Sequence[int]) -> tuple[int, ...]:
+        """Sum of per-component values (canonical order) over each tail, in O(n).
 
-    def tails_at(self, node_id: str) -> tuple[Tail, Tail]:
-        pair = tuple(t for t in self.tails if t.node == node_id)
-        if not pair:
-            raise KeyError(f"unknown node '{node_id}'")
-        return pair  # type: ignore[return-value]
+        Given a multidegree's degrees this is each tail's degree; given the
+        genera, each tail's genus.  Aligned with :attr:`tails`.
+        """
+        below = self._below(values)
+        return tuple(
+            below[v] if is_below else below[0] - below[v]
+            for v, is_below in self._tail_roots
+        )
 
     @cached_property
-    def connected_subcurves(self) -> tuple[Subcurve, ...]:
-        """Every non-empty proper connected subcurve, each exactly once.
+    def tails(self) -> tuple[Tail, ...]:
+        """All 2 * #nodes tails, grouped per node (by node id), smaller side first.
 
-        Canonical order: by size, then lexicographically by members.
+        Equal-sized sides are ordered lexicographically by their members.
         """
-        n = len(self.ids)
-        seen: set[int] = set()
-        stack = [1 << i for i in range(n)]
-        seen.update(stack)
-        while stack:
-            mask = stack.pop()
-            grow = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                grow |= self._neighbor_masks[low.bit_length() - 1]
-                rest ^= low
-            grow &= ~mask
-            while grow:
-                low = grow & -grow
-                bigger = mask | low
-                if bigger not in seen:
-                    seen.add(bigger)
-                    stack.append(bigger)
-                grow ^= low
-        proper = [m for m in seen if m != self.full.mask]
-        proper.sort(key=lambda m: (m.bit_count(), self.members(Subcurve(m))))
-        return tuple(Subcurve(m) for m in proper)
+        masks = self.tail_sums([1 << i for i in range(len(self.ids))])
+        return tuple(
+            Tail(self._edges[i // 2][0], Subcurve(mask)) for i, mask in enumerate(masks)
+        )
+
+    @cached_property
+    def tail_genera(self) -> tuple[int, ...]:
+        """Genus of each tail, aligned with :attr:`tails`."""
+        return self.tail_sums(self._genera)
+
+    @cached_property
+    def _tail_pairs(self) -> dict[str, tuple[Tail, Tail]]:
+        tails = self.tails
+        return {tails[i].node: (tails[i], tails[i + 1]) for i in range(0, len(tails), 2)}
+
+    def tails_at(self, node_id: str) -> tuple[Tail, Tail]:
+        if node_id not in self._tail_pairs:
+            raise KeyError(f"unknown node '{node_id}'")
+        return self._tail_pairs[node_id]
+
+    def tail_ends(self, tail: Tail) -> tuple[str, str]:
+        """Ends of the tail's node: the one inside the tail, then the one outside."""
+        end_a, end_b = self.node_ends(tail.node)
+        return (end_a, end_b) if self.contains(tail.side, end_a) else (end_b, end_a)
+
+    def avoids(self, component_id: str) -> tuple[bool, ...]:
+        """Whether each tail avoids the component, aligned with :attr:`tails`."""
+        return tuple(
+            not inside
+            for inside in self.tail_sums(self.unit_multidegree(component_id).degrees)
+        )
+
+    def twist(self, md: Multidegree, counts: Sequence[int]) -> Multidegree:
+        """Twist by O(-Z) counts[i] times for the i-th tail Z of :attr:`tails`.
+
+        Each twist moves one unit of degree across the tail's node, onto
+        its end inside Z; the total degree is unchanged.
+        """
+        parent = self._rooted[1]
+        degrees = list(md.degrees)
+        for (v, is_below), count in zip(self._tail_roots, counts, strict=True):
+            inside, outside = (v, parent[v]) if is_below else (parent[v], v)
+            degrees[inside] += count
+            degrees[outside] -= count
+        return Multidegree(tuple(degrees))
 
     # -- multidegrees ------------------------------------------------------
 

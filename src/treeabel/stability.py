@@ -19,23 +19,28 @@ chi(L|_W) * rank >= -deg(E|_W) at both W = Y and W = Y'.  The two forms
 are algebraically identical after clearing denominators, and the test
 suite holds them to exact boolean equality.
 
-Checking connected subcurves suffices: the slack is additive over
-connected parts and the bound k_Y is too, so the triangle inequality
-extends semistability to disconnected subcurves, and strictness on the
-part containing X extends quasistability.  The brute-force check over all
-subsets is kept as a test-only oracle.
+Checking tails suffices: the complement of a connected Y is a disjoint
+union of k_Y tails, and both the slack and the bound add over those tails
+(the slack at Y is minus their sum), so the node inequalities imply every
+other one, and strict upper bounds on the tails avoiding X imply the strict
+lower bounds for quasistability.  The two tails at a node have opposite
+slacks, so each node pins one tail degree to a window of length one.  The
+brute-force check over all subsets is kept as a test-only oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import product
 
 from .curves import CurveTree, Multidegree, Subcurve
 
 
 @dataclass(frozen=True)
 class StabilityVerdict:
+    """``witnesses``: one (tail side, "upper" or "lower") pair per failing tail,
+    in ``tails`` order; a failing node gives both its tails, on opposite sides."""
+
     semistable: bool
     witnesses: tuple[tuple[Subcurve, str], ...] = ()
 
@@ -109,142 +114,81 @@ def _chi_holds(tree: CurveTree, md: Multidegree, sub: Subcurve, pol: Polarizatio
     return chi * pol.rank >= -pol.degree_on(sub)
 
 
-@lru_cache(maxsize=None)
-def _connected_stats(tree: CurveTree) -> tuple[tuple[Subcurve, int, int], ...]:
-    """(subcurve, scaled omega term, scaled bound) per connected proper subcurve.
-
-    Cached per tree; the precomputed pair lets the hot enumeration loop
-    evaluate the inequality with one multidegree sum and two comparisons.
-    """
+def _tail_slacks(tree: CurveTree, md: Multidegree) -> tuple[list[int], int]:
+    """Scaled slack per tail, where omega(Z) = 2 g_Z - 1, and the bound (k_Z = 1)."""
     g = tree.genus
-    return tuple(
-        (sub, 2 * tree.omega_degree(sub), (2 * g - 2) * tree.k(sub))
-        for sub in tree.connected_subcurves
-    )
+    d = md.total
+    slacks = [
+        2 * (2 * g - 2) * dz - 2 * d * (2 * gz - 1)
+        for dz, gz in zip(tree.tail_sums(md.degrees), tree.tail_genera)
+    ]
+    return slacks, 2 * g - 2
 
 
 def is_semistable(tree: CurveTree, md: Multidegree) -> StabilityVerdict:
-    """Check semistability at every connected proper subcurve.
-
-    Witnesses name each failing subcurve together with the violated side
-    of the bound.
-    """
-    g = tree.genus
-    d = md.total
-    scale = 2 * (2 * g - 2)
-    witnesses = []
-    for sub, omega2, bound in _connected_stats(tree):
-        slack = scale * md.on(sub) - d * omega2
-        if slack > bound:
-            witnesses.append((sub, "upper"))
-        elif slack < -bound:
-            witnesses.append((sub, "lower"))
-    return StabilityVerdict(not witnesses, tuple(witnesses))
-
-
-def _is_semistable_bool(tree: CurveTree, md: Multidegree) -> bool:
-    g = tree.genus
-    d = md.total
-    scale = 2 * (2 * g - 2)
-    for sub, omega2, bound in _connected_stats(tree):
-        slack = scale * md.on(sub) - d * omega2
-        if not -bound <= slack <= bound:
-            return False
-    return True
+    """Check semistability at the two tails of every node."""
+    slacks, bound = _tail_slacks(tree, md)
+    witnesses = tuple(
+        (tail.side, "upper" if slack > 0 else "lower")
+        for tail, slack in zip(tree.tails, slacks)
+        if not -bound <= slack <= bound
+    )
+    return StabilityVerdict(not witnesses, witnesses)
 
 
 def is_quasistable(tree: CurveTree, md: Multidegree, component_id: str) -> bool:
     """Semistable, with the strict lower bound on subcurves containing X.
 
-    Strictness on connected subcurves containing X propagates to
-    disconnected ones because the remaining parts satisfy the non-strict
-    lower bound by semistability.
+    On tails this reads: strict upper bound on each tail avoiding X, strict
+    lower bound on each tail containing X.
     """
-    try:
-        bit = 1 << tree.ids.index(component_id)
-    except ValueError:
-        raise KeyError(f"unknown component '{component_id}'") from None
-    g = tree.genus
-    d = md.total
-    scale = 2 * (2 * g - 2)
-    for sub, omega2, bound in _connected_stats(tree):
-        slack = scale * md.on(sub) - d * omega2
-        if not -bound <= slack <= bound:
-            return False
-        if sub.mask & bit and slack == -bound:
-            return False
-    return True
+    avoids = tree.avoids(component_id)
+    slacks, bound = _tail_slacks(tree, md)
+    return all(
+        -bound <= slack < bound if away else -bound < slack <= bound
+        for slack, away in zip(slacks, avoids)
+    )
 
 
-def _component_ranges(tree: CurveTree, d: int) -> list[range]:
-    """Per-component degree ranges allowed by the single-component bound."""
-    g = tree.genus
-    denom = 2 * (2 * g - 2)
-    ranges = []
-    for i, cid in enumerate(tree.ids):
-        sub = Subcurve(1 << i)
-        omega = tree.omega_degree(sub)
-        bound = (2 * g - 2) * tree.k(sub)
-        lo = -((-(2 * d * omega - bound)) // denom)  # ceil
-        hi = (2 * d * omega + bound) // denom  # floor
-        ranges.append(range(lo, hi + 1))
-    return ranges
+def _tail_window(d: int, genus: int, tail_genus: int) -> range:
+    """Semistable degrees t of a tail: |(4g-4) t - 2 d omega_Z| <= 2g-2.
+
+    One or two integers; a tail avoiding X takes the lowest when quasistable.
+    """
+    h = genus - 1
+    omega = 2 * tail_genus - 1
+    return range(-(-(d * omega - h) // (2 * h)), (d * omega + h) // (2 * h) + 1)
 
 
 def enumerate_semistable(tree: CurveTree, d: int) -> tuple[Multidegree, ...]:
     """All semistable multidegrees of total degree d, canonically sorted.
 
-    Candidates are generated inside the exact per-component box given by
-    the single-component bound, pruned by the running total, then filtered
-    at the remaining connected subcurves.
+    Every node allows its tail away from component 0 one or two degrees;
+    each choice of one degree per node is one semistable multidegree,
+    reached from d on component 0 by twisting each such tail that often.
     """
     if d < 0:
         raise ValueError(f"total degree must be >= 0, got {d}")
-    ranges = _component_ranges(tree, d)
-    if any(not r for r in ranges):
-        return ()
-    n = len(ranges)
-    suffix_min = [0] * (n + 1)
-    suffix_max = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_min[i] = suffix_min[i + 1] + ranges[i][0]
-        suffix_max[i] = suffix_max[i + 1] + ranges[i][-1]
-
-    g = tree.genus
-    scale = 2 * (2 * g - 2)
-    stats = [
-        (sub, omega2, bound)
-        for sub, omega2, bound in _connected_stats(tree)
-        if sub.mask.bit_count() > 1
+    base = tree.unit_multidegree(tree.ids[0]).scaled(d)
+    choices = [
+        _tail_window(d, tree.genus, gz) if away else (0,)
+        for gz, away in zip(tree.tail_genera, tree.avoids(tree.ids[0]))
     ]
-
-    out: list[Multidegree] = []
-    chosen = [0] * n
-
-    def descend(i: int, total: int) -> None:
-        if i == n:
-            md = Multidegree(tuple(chosen))
-            for sub, omega2, bound in stats:
-                slack = scale * md.on(sub) - d * omega2
-                if not -bound <= slack <= bound:
-                    return
-            out.append(md)
-            return
-        for value in ranges[i]:
-            rest = d - total - value
-            if suffix_min[i + 1] <= rest <= suffix_max[i + 1]:
-                chosen[i] = value
-                descend(i + 1, total + value)
-
-    descend(0, 0)
+    out = [tree.twist(base, counts) for counts in product(*choices)]
     out.sort(key=lambda md: md.degrees)
     return tuple(out)
 
 
 def enumerate_quasistable(tree: CurveTree, d: int, component_id: str) -> tuple[Multidegree, ...]:
-    """Semistable multidegrees of total degree d that are X-quasistable."""
-    return tuple(
-        md
-        for md in enumerate_semistable(tree, d)
-        if is_quasistable(tree, md, component_id)
-    )
+    """The X-quasistable multidegree of total degree d, which is unique.
+
+    Each tail Z avoiding X takes ceil((2 d omega_Z - (2g - 2)) / (4g - 4)),
+    the one degree its half-open window allows; returned as a 1-tuple.
+    """
+    if d < 0:
+        raise ValueError(f"total degree must be >= 0, got {d}")
+    counts = [
+        _tail_window(d, tree.genus, gz)[0] if away else 0
+        for gz, away in zip(tree.tail_genera, tree.avoids(component_id))
+    ]
+    return (tree.twist(tree.unit_multidegree(component_id).scaled(d), counts),)

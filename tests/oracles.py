@@ -2,7 +2,7 @@
 
 Everything here works on plain ids, dicts and sets, with its own graph
 traversal, so the oracles share no code path with the library: the
-library checks connected subcurves through bitmask machinery, the oracles
+library checks the two tails at each node on a rooted index, the oracles
 check every subset the slow way.
 """
 
@@ -153,3 +153,9 @@ def connected_subsets_bruteforce(genus_map, edges) -> list[frozenset]:
         for members in all_proper_subsets(genus_map)
         if is_connected(edges, members)
     ]
+
+
+def connected_subcurves(tree: CurveTree) -> list:
+    """Proper connected subcurves as library subcurves, by size then members."""
+    genus_map, edges = tree_data(tree)
+    return [tree.subcurve(members) for members in connected_subsets_bruteforce(genus_map, edges)]

@@ -223,6 +223,41 @@ class TestAbelD:
                 assert abel_d(tree, xpr, tuple(shuffled)) == image
 
 
+def abel_d_stepwise(tree, xpr, config):
+    """The degree-d image by the twist stack itself: the sum of the abel1
+    images, twisted down by every big tail of e_1 .. e_{d-1}, one at a time."""
+    acc = {}
+    for point in config:
+        for sym, c in abel1(tree, xpr, point).coeffs:
+            acc[sym] = acc.get(sym, 0) + c
+    if len(config) > 1:
+        for md in e_sequence(tree, xpr, len(config) - 1):
+            for tail in big_tails(tree, md, xpr):
+                for sym, c in twist_delta(tree, tail, -1).divisor.coeffs:
+                    acc[sym] = acc.get(sym, 0) + c
+    return DivisorRep.from_mapping(acc)
+
+
+class TestAbelDAgainstStepwiseTwists:
+    def test_every_principal_choice(self, corpus500):
+        # every X, including the off-center ones only --force reaches
+        rng = random.Random(67)
+        checked = 0
+        for tree in corpus500[:120]:
+            for xpr in tree.ids:
+                config = tuple(random_point(tree, rng) for _ in range(rng.randint(1, 8)))
+                assert abel_d(tree, xpr, config) == abel_d_stepwise(tree, xpr, config)
+                checked += 1
+        assert checked > 250
+
+    def test_half_genus_trees(self, delta50):
+        rng = random.Random(71)
+        for tree in delta50:
+            for xpr in tree.ids:
+                config = tuple(random_point(tree, rng) for _ in range(rng.randint(1, 8)))
+                assert abel_d(tree, xpr, config) == abel_d_stepwise(tree, xpr, config)
+
+
 def random_point(tree, rng):
     if tree.nodes and rng.random() < 0.5:
         return NodePoint(rng.choice(tree.nodes).id)

@@ -204,6 +204,35 @@ class TestErrors:
         assert code == 1
         assert "justalabel" in err
 
+    def test_smooth_label_with_at_sign_rejected(self, capsys, two22_file):
+        # "n@C2" would be printed under the same key as the branch of n on C2
+        code, out, err = run(capsys, "abel", two22_file, "--points", "C2:p,C2:n@C2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "n@C2" in err
+
+    @pytest.mark.parametrize("command", ["validate", "tails"])
+    def test_duplicate_json_key_rejected(self, capsys, tmp_path, command):
+        path = tmp_path / "dup.json"
+        path.write_text(
+            '{"components": [{"id": "C1", "genus": 2}],'
+            ' "components": [{"id": "C1", "genus": 2}, {"id": "C2", "genus": 2}],'
+            ' "nodes": [{"id": "n", "ends": ["C1", "C2"]}]}'
+        )
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "duplicate key 'components'" in err
+
+    @pytest.mark.parametrize("command", ["validate", "classify"])
+    def test_deeply_nested_json_is_domain_error(self, capsys, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "nested too deeply" in err
+
     def test_override_requires_force_off_center(self, capsys, chain111_file):
         code, _, err = run(
             capsys, "eseq", chain111_file, "--dmax", "2", "--principal-override", "C1"

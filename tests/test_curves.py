@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import oracles
@@ -163,41 +165,31 @@ class TestTails:
                 == 2 * chain1111.genus - 2
             )
 
+    def test_pairs_ordered_by_node_then_size_then_members(self, corpus500, chain1111):
+        # chain1111's middle node splits it into two equal halves
+        for tree in [chain1111, *corpus500]:
+            firsts, seconds = tree.tails[::2], tree.tails[1::2]
+            assert [t.node for t in firsts] == sorted(node.id for node in tree.nodes)
+            for a, b in zip(firsts, seconds):
+                assert a.node == b.node and a.side == tree.complement(b.side)
+                assert (a.side.mask.bit_count(), tree.members(a.side)) < (
+                    b.side.mask.bit_count(),
+                    tree.members(b.side),
+                )
+
+    def test_tail_sums_match_per_subcurve_sums(self, corpus500):
+        rng = random.Random(3)
+        for tree in corpus500[:150]:
+            values = [rng.randint(-5, 5) for _ in tree.ids]
+            md = tree.multidegree(values)
+            assert tree.tail_sums(values) == tuple(md.on(t.side) for t in tree.tails)
+            assert tree.tail_genera == tuple(tree.subcurve_genus(t.side) for t in tree.tails)
+
 
 class TestConnectedSubcurves:
-    def test_two_components(self, two22):
-        assert [two22.members(s) for s in two22.connected_subcurves] == [
-            ("C1",),
-            ("C2",),
-        ]
-
-    def test_chain_of_three(self, chain111):
-        assert [chain111.members(s) for s in chain111.connected_subcurves] == [
-            ("C1",),
-            ("C2",),
-            ("C3",),
-            ("C1", "C2"),
-            ("C2", "C3"),
-        ]
-
-    def test_star_count(self, star):
-        assert len(star.connected_subcurves) == 10
-
-    def test_matches_bruteforce_on_small_trees(self, corpus500):
-        checked = 0
-        for tree in corpus500:
-            if len(tree.ids) > 5:
-                continue
-            genus_map, edges = oracles.tree_data(tree)
-            expected = set(oracles.connected_subsets_bruteforce(genus_map, edges))
-            got = {frozenset(tree.members(s)) for s in tree.connected_subcurves}
-            assert got == expected
-            checked += 1
-        assert checked > 100
-
     def test_k_symmetric_under_complement(self, corpus500):
         for tree in corpus500[:120]:
-            for sub in tree.connected_subcurves:
+            for sub in oracles.connected_subcurves(tree):
                 assert tree.k(sub) == tree.k(tree.complement(sub))
 
 

@@ -1,0 +1,69 @@
+"""Large trees through every tail-indexed layer, with no timing assertion.
+
+A chain of 1,001 components and a 40-leaf star on a genus-0 hub.  The star
+has 2^40 connected subcurves, so only per-node work can finish on it; the
+chain checks that nothing is quadratic or worse in the number of nodes.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from treeabel import (
+    CurveTree,
+    NodePoint,
+    SmoothPoint,
+    abel_d,
+    classify,
+    e_sequence,
+    enumerate_quasistable,
+    is_quasistable,
+    is_semistable,
+)
+
+
+def chain(n: int) -> CurveTree:
+    return CurveTree.build(
+        [(f"C{i:04d}", 1) for i in range(n)],
+        [(f"n{i:04d}", f"C{i:04d}", f"C{i + 1:04d}") for i in range(n - 1)],
+    )
+
+
+def star(leaves: int) -> CurveTree:
+    return CurveTree.build(
+        [("H", 0)] + [(f"L{i:02d}", 1) for i in range(leaves)],
+        [(f"n{i:02d}", "H", f"L{i:02d}") for i in range(leaves)],
+    )
+
+
+@pytest.fixture(scope="module", params=["chain1001", "star40"])
+def large(request):
+    # (tree, a genus-1 end component, a node, the expected principal component)
+    if request.param == "chain1001":
+        return chain(1001), "C0000", "n0250", "C0500"
+    return star(40), "L00", "n07", "H"
+
+
+def test_every_layer_runs(large):
+    tree, end, node, principal = large
+    assert len(tree.tails) == 2 * len(tree.nodes)
+    report = classify(tree)
+    assert report.central == (principal,) and report.principal == principal
+
+    (md,) = enumerate_quasistable(tree, 3, principal)
+    assert md.total == 3
+    assert is_quasistable(tree, md, principal)
+
+    moved = md + tree.unit_multidegree(end) - tree.unit_multidegree(principal)
+    verdict = is_semistable(tree, moved)
+    assert not verdict.semistable
+    tail_sides = {tail.side for tail in tree.tails}
+    assert all(sub in tail_sides for sub, _ in verdict.witnesses)
+    assert (tree.subcurve([end]), "upper") in verdict.witnesses
+
+    seq = e_sequence(tree, principal, 5)
+    assert [e.total for e in seq] == [1, 2, 3, 4, 5]
+    assert seq[2] == md
+
+    points = (SmoothPoint(end, "p"), NodePoint(node), SmoothPoint(principal, "q"), NodePoint(node))
+    assert abel_d(tree, principal, points).multidegree(tree) == seq[3]

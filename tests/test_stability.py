@@ -36,7 +36,7 @@ class TestSemistableAt:
 
     def test_zero_multidegree_everywhere(self, chain111):
         md = chain111.zero_multidegree()
-        for sub in chain111.connected_subcurves:
+        for sub in oracles.connected_subcurves(chain111):
             assert is_semistable_at(chain111, md, sub)
 
     def test_violation_detected(self, two22):
@@ -50,9 +50,10 @@ class TestSemistableAt:
     def test_complement_symmetry_on_examples(self, two22, chain111):
         rng = random.Random(5)
         for tree in (two22, chain111):
+            subs = oracles.connected_subcurves(tree)
             for d in range(0, 4):
                 for md in sample_multidegrees(tree, d, 20, rng):
-                    for sub in tree.connected_subcurves:
+                    for sub in subs:
                         assert is_semistable_at(tree, md, sub) == is_semistable_at(
                             tree, md, tree.complement(sub)
                         )
@@ -71,6 +72,14 @@ class TestVerdict:
         assert not verdict.semistable
         failing = [two22.members(sub) for sub, _ in verdict.witnesses]
         assert ("C2",) in failing
+
+    def test_witnesses_are_the_failing_tails(self, chain111):
+        # too much degree on C1: the tail {C1} fails above, its complement below
+        verdict = is_semistable(chain111, chain111.multidegree((2, 0, 0)))
+        assert [(chain111.members(sub), side) for sub, side in verdict.witnesses] == [
+            (("C1",), "upper"),
+            (("C2", "C3"), "lower"),
+        ]
 
     def test_witnesses_iff_unstable(self, corpus500):
         rng = random.Random(11)
@@ -114,7 +123,7 @@ class TestChiForm:
 
     def test_zero_multidegree(self, chain111):
         md = chain111.zero_multidegree()
-        for sub in chain111.connected_subcurves:
+        for sub in oracles.connected_subcurves(chain111):
             assert chi_form_semistable_at(chain111, md, sub)
 
     def test_two_sided_failure_detected(self, chain111):
@@ -127,9 +136,10 @@ class TestChiForm:
     def test_matches_inequality_form_exactly(self, corpus500):
         rng = random.Random(23)
         for tree in corpus500[:60]:
+            subs = oracles.connected_subcurves(tree)
             for d in (0, 1, tree.genus - 1, tree.genus):
                 for md in sample_multidegrees(tree, d, 8, rng):
-                    for sub in tree.connected_subcurves:
+                    for sub in subs:
                         assert is_semistable_at(tree, md, sub) == chi_form_semistable_at(
                             tree, md, sub
                         )
@@ -182,6 +192,28 @@ class TestEnumerateQuasistable:
     def test_degree_two(self, two22):
         got = [md.degrees for md in enumerate_quasistable(two22, 2, "C1")]
         assert got == [(1, 1)]
+
+    def test_closed_form_matches_all_subsets_oracle(self, small_trees):
+        # every component X, semicentral or not: the single closed-form
+        # multidegree is exactly the brute-force semistable list, filtered
+        checked = 0
+        for tree in small_trees:
+            genus_map, edges = oracles.tree_data(tree)
+            for d in range(0, 5):
+                semistable = oracles.enumerate_semistable_bruteforce(genus_map, edges, d)
+                for cid in tree.ids:
+                    expected = [
+                        degrees
+                        for degrees in semistable
+                        if oracles.quasistable_all_subsets(genus_map, edges, degrees, cid)
+                    ]
+                    got = [
+                        tree.multidegree_as_dict(md)
+                        for md in enumerate_quasistable(tree, d, cid)
+                    ]
+                    assert got == expected, (tree.to_data(), d, cid)
+                    checked += 1
+        assert checked > 1000
 
     def test_never_empty_at_desk_scale(self, small_trees):
         for tree in small_trees[:15]:
