@@ -1,20 +1,24 @@
 """Canonical Abel-map multidegrees and pointwise images as formal divisors.
 
-The degree-d image of a point configuration is built from the degree-1
-images and a fixed stack of tail twists.  Writing e_1 for the unit
-multidegree at the principal component, the canonical sequence is
+With e_1 the unit multidegree at the principal component X, the paper's
+canonical sequence is e_{d+1} = e_d + e_1 + one twist by O(-Z) for each
+tail Z avoiding X that is big for e_d, that is, with omega(Z) = 2 g_Z - 1,
 
-    e_{d+1} = e_d + e_1 + sum of twist deltas over the big tails of e_d,
+    d_Z * (2g - 2) - d * omega(Z) < 2 g_Z - g.
 
-where a tail Z is big for a multidegree d of total degree D when
+Rooted at X, two tails avoiding X are nested or disjoint, so a twist by Z,
+which moves one unit across the node of Z, and adding e_1 leave the degree
+of every other tail avoiding X unchanged.  The degree t_d(Z) of such a tail
+on e_d, the number of steps e_1 .. e_{d-1} twisting Z, thus obeys a scalar
+recursion, t_1 = 0 and t_{d+1} = t_d + [Z big at step d], solved by
 
-    d_Z * (2g - 2) - D * omega(Z) < 2 g_Z - g,
+    t_d(Z) = min(d - 1, c_d),   c_d = ceil((d * omega(Z) - (g - 1)) / (2g - 2)):
 
-and only big tails avoiding the principal component are twisted.  Each
-twist by a tail Z moves one unit of degree across the separating node, so
-the deltas have total degree zero.  A twist by Z changes no other tail
-avoiding the principal component, so the degree of such a tail on e_d
-counts the steps e_1 .. e_{d-1} at which it was big.
+Z is big at step d exactly when t_d < c_{d+1}, and c_d >= 0 grows by at
+most one per degree since omega(Z) <= 2g - 3.  c_d is the X-quasistable
+degree of Z, so the clamp only bites for off-centre X.  :func:`twist_step`,
+:func:`big_tails` and :func:`abel1` keep the step-by-step construction,
+which the tests hold the closed forms to.
 
 Point images are purely formal: a divisor is a vector of integer
 coefficients on smooth-point labels and on node branches (a node n with
@@ -25,11 +29,13 @@ their coefficients agree.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from .classify import small_tail_at_node, small_tails
+from .classify import is_small_tail, small_tail_at_node, small_tails
 from .curves import CurveTree, Multidegree, Tail
+from .stability import _tail_window
 
 
 @dataclass(frozen=True)
@@ -91,11 +97,9 @@ class DivisorRep:
         return {sym: c for sym, c in self.coeffs if sym.component == component_id}
 
     def multidegree(self, tree: CurveTree) -> Multidegree:
-        per = {cid: 0 for cid in tree.ids}
+        per: dict[str, int] = {}
         for sym, c in self.coeffs:
-            if sym.component not in per:
-                raise KeyError(f"unknown component '{sym.component}'")
-            per[sym.component] += c
+            per[sym.component] = per.get(sym.component, 0) + c
         return tree.multidegree(per)
 
 
@@ -130,10 +134,9 @@ def twist_delta(tree: CurveTree, tail: Tail, sign: int) -> TwistDelta:
     return TwistDelta(tail, md, rep)
 
 
-def _add_twist(acc: dict[Symbol, int], tree: CurveTree, tail: Tail, count: int) -> None:
+def _add_twist(acc: dict[Symbol, int], node: str, inside: str, outside: str, count: int) -> None:
     """Add ``count`` times the divisor of the twist by O(-Z) to ``acc``."""
-    inside, outside = tree.tail_ends(tail)
-    for sym, c in ((Branch(tail.node, inside), count), (Branch(tail.node, outside), -count)):
+    for sym, c in ((Branch(node, inside), count), (Branch(node, outside), -count)):
         acc[sym] = acc.get(sym, 0) + c
 
 
@@ -171,13 +174,32 @@ def twist_step(tree: CurveTree, md: Multidegree, component_id: str) -> Multidegr
 def e_sequence(tree: CurveTree, xpr: str, dmax: int) -> tuple[Multidegree, ...]:
     """Canonical multidegrees e_1 .. e_dmax for the given principal choice.
 
-    Built by the twist recursion, one O(n) :func:`twist_step` per degree.
+    e_d is d units at X, twisted t_d(Z) times by each tail Z avoiding X.
+    t_d(Z) rises one at a time and first reaches t at the least d with
+    d - 1 >= t and c_d >= t, d = max(t + 1, floor((2t - 1)(g - 1) / omega(Z)) + 1),
+    so e_d is e_{d-1} plus a unit at X and one twist by each tail rising at d.
     """
     if dmax < 1:
         raise ValueError(f"dmax must be >= 1, got {dmax}")
-    seq = [e1(tree, xpr)]
-    while len(seq) < dmax:
-        seq.append(twist_step(tree, seq[-1], xpr))
+    h = tree.genus - 1
+    rises: list[list[tuple[int, int]]] = [[] for _ in range(dmax + 1)]
+    for ends, gz, away in zip(tree.tail_end_positions, tree.tail_genera, tree.avoids(xpr)):
+        if not away:
+            continue
+        for t in range(1, dmax):
+            d = max(t + 1, (2 * t - 1) * h // (2 * gz - 1) + 1)
+            if d > dmax:
+                break
+            rises[d].append(ends)
+    x = tree.ids.index(xpr)
+    degrees = [0] * len(tree.ids)
+    seq = []
+    for d in range(1, dmax + 1):
+        degrees[x] += 1
+        for inside, outside in rises[d]:
+            degrees[inside] += 1
+            degrees[outside] -= 1
+        seq.append(Multidegree(tuple(degrees)))
     return tuple(seq)
 
 
@@ -194,11 +216,10 @@ def _point_in_tail(tree: CurveTree, point: Point, tail: Tail) -> bool:
 
 
 def _check_point(tree: CurveTree, point: Point) -> None:
-    if isinstance(point, SmoothPoint):
-        if point.component not in tree.ids:
-            raise KeyError(f"unknown component '{point.component}'")
-    else:
+    if isinstance(point, NodePoint):
         tree.node_ends(point.node)
+    elif point.component not in tree.ids:
+        raise KeyError(f"unknown component '{point.component}'")
 
 
 def abel1(tree: CurveTree, xpr: str, point: Point) -> DivisorRep:
@@ -217,25 +238,42 @@ def abel1(tree: CurveTree, xpr: str, point: Point) -> DivisorRep:
         acc[Branch(point.node, inside)] = 1
     for tail in small_tails(tree, xpr):
         if _point_in_tail(tree, point, tail):
-            _add_twist(acc, tree, tail, -1)
+            _add_twist(acc, tail.node, *tree.tail_ends(tail), -1)
     return DivisorRep.from_mapping(acc)
 
 
 def abel_d(tree: CurveTree, xpr: str, config: Sequence[Point]) -> DivisorRep:
-    """Degree-d image of an ordered point configuration.
+    """Degree-d image of an ordered point configuration, in one pass.
 
-    The sum of the degree-1 images, twisted down by the big tails of each
-    e_1 .. e_{d-1}, that is, by each tail Z avoiding the principal component
-    d_Z(e_d) times.  It is symmetric in the configuration, of multidegree e_d.
+    The paper twists the sum of the degree-1 images down t_d(Z) times by
+    each tail Z avoiding X.  Each degree-1 image is the point's symbol
+    twisted up by the small tails holding it, and a node point lies in a
+    small tail exactly when its symbol's component does.  So each tail Z is
+    twisted once, t_d(Z) [Z avoids X] - c_Z [Z small] times, where c_Z
+    counts the symbols in Z.  The image is symmetric in the configuration.
     """
     if not config:
         raise ValueError("point configuration must be non-empty")
-    acc: dict[Symbol, int] = {}
     for point in config:
-        for sym, c in abel1(tree, xpr, point).coeffs:
-            acc[sym] = acc.get(sym, 0) + c
-    e_d = e_sequence(tree, xpr, len(config))[-1]
-    for tail, count, away in zip(tree.tails, tree.tail_sums(e_d.degrees), tree.avoids(xpr)):
-        if away and count:
-            _add_twist(acc, tree, tail, count)
+        _check_point(tree, point)
+    d, g, ids, tails = len(config), tree.genus, tree.ids, tree.tails
+    avoids = tree.avoids(xpr)
+    small = [is_small_tail(g, gz, away) for gz, away in zip(tree.tail_genera, avoids)]
+    small_ends = {
+        tail.node: ids[ends[0]]
+        for tail, ends, is_small in zip(tails, tree.tail_end_positions, small)
+        if is_small
+    }
+    symbols = [
+        p if isinstance(p, SmoothPoint) else Branch(p.node, small_ends[p.node]) for p in config
+    ]
+    acc: dict[Symbol, int] = Counter(symbols)
+    held = tree.tail_sums(tree.multidegree(Counter(sym.component for sym in symbols)).degrees)
+    for tail, (inside, outside), gz, away, is_small, c in zip(
+        tails, tree.tail_end_positions, tree.tail_genera, avoids, small, held
+    ):
+        # t_d(Z) = min(d - 1, the lowest semistable degree of Z)
+        count = (min(d - 1, _tail_window(d, g, gz)[0]) if away else 0) - (c if is_small else 0)
+        if count:
+            _add_twist(acc, tail.node, ids[inside], ids[outside], count)
     return DivisorRep.from_mapping(acc)

@@ -85,23 +85,31 @@ def principal_component(tree: CurveTree) -> str:
     return min(semicentral)
 
 
+def is_small_tail(genus: int, tail_genus: int, away: bool) -> bool:
+    """Genus below g/2, or exactly g/2 with the principal component outside."""
+    return 2 * tail_genus < genus or (2 * tail_genus == genus and away)
+
+
 def small_tails(tree: CurveTree, xpr: str) -> tuple[Tail, ...]:
     """Tails of genus < g/2, plus genus-g/2 tails whose complement holds xpr."""
-    g = tree.genus
     return tuple(
         tail
-        for tail, genus, away in zip(tree.tails, tree.tail_genera, tree.avoids(xpr))
-        if 2 * genus < g or (2 * genus == g and away)
+        for tail, gz, away in zip(tree.tails, tree.tail_genera, tree.avoids(xpr))
+        if is_small_tail(tree.genus, gz, away)
     )
 
 
 def small_tail_at_node(tree: CurveTree, xpr: str, node_id: str) -> Tail:
     """The unique small tail among the two tails at a node."""
-    small = set(small_tails(tree, xpr))
-    candidates = [t for t in tree.tails_at(node_id) if t in small]
+    candidates = [
+        t
+        for t in tree.tails_at(node_id)
+        if is_small_tail(tree.genus, tree.subcurve_genus(t.side), not tree.contains(t.side, xpr))
+    ]
     if len(candidates) != 1:
         raise RuntimeError(
-            f"internal check failed: node '{node_id}' has {len(candidates)} small tails"
+            f"internal check failed: node '{node_id}' has {len(candidates)} small tails "
+            f"for principal component '{xpr}' on a tree of {len(tree.ids)} components"
         )
     return candidates[0]
 

@@ -13,9 +13,15 @@ import sys
 from .abel import DivisorRep, NodePoint, Point, SmoothPoint, abel_d, e_sequence
 from .classify import classify
 from .compare import compare_principals
-from .curves import CurveTree, InvalidTreeError, validate
-from .generator import GenSpec, UnsatisfiableSpecError, random_tree
+from .curves import CurveTree, Tail, validate
+from .generator import GenSpec, random_tree
 from .stability import enumerate_quasistable, enumerate_semistable
+
+
+# Fixed limits on inputs whose cost grows without bound: eseq and compare do
+# O(dmax * components) work, and abel keeps every point.
+MAX_DEGREE_WORK = 10**6
+MAX_POINTS = 10**5
 
 
 def _emit(payload: object) -> None:
@@ -58,12 +64,30 @@ def _resolve_principal(tree: CurveTree, override: str | None, force: bool) -> st
     return override
 
 
+def _check_dmax(tree: CurveTree, dmax: int) -> None:
+    if dmax * len(tree.ids) > MAX_DEGREE_WORK:
+        raise ValueError(
+            f"--dmax {dmax} on {len(tree.ids)} components exceeds the limit of "
+            f"{MAX_DEGREE_WORK} degrees times components"
+        )
+
+
+def _check_addressable(tree: CurveTree) -> None:
+    """Point tokens are split on ',', stripped, then split at the first ':'."""
+    for cid in tree.ids:
+        if cid == "node" or ":" in cid or "," in cid or cid != cid.strip():
+            raise ValueError(f"component id '{cid}' cannot be named in --points")
+    for node in tree.nodes:
+        if "," in node.id or node.id != node.id.strip():
+            raise ValueError(f"node id '{node.id}' cannot be named in --points")
+
+
 def _parse_points(tree: CurveTree, spec: str) -> list[Point]:
+    tokens = [token.strip() for token in spec.split(",") if token.strip()]
+    if len(tokens) > MAX_POINTS:
+        raise ValueError(f"{len(tokens)} points exceed the limit of {MAX_POINTS}")
     points: list[Point] = []
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    for token in tokens:
         head, sep, rest = token.partition(":")
         if not sep or not head or not rest:
             raise ValueError(f"bad point token '{token}', expected COMP:LABEL or node:ID")
@@ -110,34 +134,32 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _tail_payload(tree: CurveTree, tail: Tail) -> dict[str, object]:
+    return {"node": tail.node, "side": list(tree.members(tail.side))}
+
+
 def _cmd_tails(args: argparse.Namespace) -> int:
     tree = _load_tree(args.file)
-    _emit(
-        [
-            {"node": tail.node, "side": list(tree.members(tail.side))}
-            for tail in tree.tails
-        ]
-    )
+    _emit([_tail_payload(tree, tail) for tail in tree.tails])
     return 0
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     tree = _load_tree(args.file)
-    if args.principal:
-        component = classify(tree).principal
-        result = enumerate_quasistable(tree, args.degree, component)
-    elif args.quasistable is not None:
-        if args.quasistable not in tree.ids:
-            raise ValueError(f"unknown component '{args.quasistable}'")
-        result = enumerate_quasistable(tree, args.degree, args.quasistable)
-    else:
+    component = classify(tree).principal if args.principal else args.quasistable
+    if component is None:
         result = enumerate_semistable(tree, args.degree)
+    elif component not in tree.ids:
+        raise ValueError(f"unknown component '{component}'")
+    else:
+        result = enumerate_quasistable(tree, args.degree, component)
     _emit([tree.multidegree_as_dict(md) for md in result])
     return 0
 
 
 def _cmd_eseq(args: argparse.Namespace) -> int:
     tree = _load_tree(args.file)
+    _check_dmax(tree, args.dmax)
     xpr = _resolve_principal(tree, args.principal_override, args.force)
     seq = e_sequence(tree, xpr, args.dmax)
     _emit([list(md.degrees) for md in seq])
@@ -146,6 +168,7 @@ def _cmd_eseq(args: argparse.Namespace) -> int:
 
 def _cmd_abel(args: argparse.Namespace) -> int:
     tree = _load_tree(args.file)
+    _check_addressable(tree)
     xpr = _resolve_principal(tree, args.principal_override, args.force)
     points = _parse_points(tree, args.points)
     rep = abel_d(tree, xpr, points)
@@ -160,13 +183,14 @@ def _cmd_abel(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     tree = _load_tree(args.file)
+    _check_dmax(tree, args.dmax)
     report = compare_principals(tree, args.dmax)
     _emit(
         {
             "x1": report.x1,
             "x2": report.x2,
-            "y1": {"node": report.y1.node, "side": list(tree.members(report.y1.side))},
-            "y2": {"node": report.y2.node, "side": list(tree.members(report.y2.side))},
+            "y1": _tail_payload(tree, report.y1),
+            "y2": _tail_payload(tree, report.y2),
             "eta": list(report.eta),
             "ok": report.ok,
             "e1_sequence": [list(md.degrees) for md in report.e1_sequence],
@@ -251,11 +275,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidTreeError, UnsatisfiableSpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, KeyError, OSError) as exc:
-        message = exc.args[0] if exc.args else exc
+        # str() quotes a KeyError's message, and an OSError's first arg is its errno
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1
 

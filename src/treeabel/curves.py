@@ -302,14 +302,6 @@ class CurveTree:
         )
 
     @cached_property
-    def _neighbor_masks(self) -> tuple[int, ...]:
-        masks = [0] * len(self.ids)
-        for _, a, b in self._edges:
-            masks[a] |= 1 << b
-            masks[b] |= 1 << a
-        return tuple(masks)
-
-    @cached_property
     def full(self) -> Subcurve:
         return Subcurve((1 << len(self.ids)) - 1)
 
@@ -361,34 +353,22 @@ class CurveTree:
 
     def subcurve_genus(self, sub: Subcurve) -> int:
         """Genus of a subcurve: the sum of its component genera."""
-        mask = sub.mask
-        value = 0
-        while mask:
-            low = mask & -mask
-            value += self._genera[low.bit_length() - 1]
-            mask ^= low
-        return value
+        return Multidegree(self._genera).on(sub)
 
     def connected_parts(self, sub: Subcurve) -> tuple[Subcurve, ...]:
-        """Connected components of the induced subgraph, canonically ordered."""
-        remaining = sub.mask
-        parts = []
-        while remaining:
-            seed = remaining & -remaining
-            part = seed
-            frontier = seed
-            while frontier:
-                grown = part
-                mask = frontier
-                while mask:
-                    low = mask & -mask
-                    grown |= self._neighbor_masks[low.bit_length() - 1] & sub.mask
-                    mask ^= low
-                frontier = grown & ~part
-                part = grown
-            parts.append(Subcurve(part))
-            remaining &= ~part
-        return tuple(parts)
+        """Connected components of the induced subgraph, canonically ordered.
+
+        Rooted at component 0, each part hangs from its one member whose
+        parent lies outside the subcurve.
+        """
+        order, parent = self._rooted
+        top: dict[int, int] = {}
+        parts: dict[int, int] = {}
+        for v in order:
+            if sub.mask >> v & 1:
+                top[v] = top.get(parent[v], v)
+                parts[top[v]] = parts.get(top[v], 0) | 1 << v
+        return tuple(Subcurve(mask) for mask in sorted(parts.values(), key=lambda m: m & -m))
 
     def omega_degree(self, sub: Subcurve) -> int:
         """Degree of the dualizing sheaf restricted to the subcurve.
@@ -479,6 +459,12 @@ class CurveTree:
             raise KeyError(f"unknown node '{node_id}'")
         return self._tail_pairs[node_id]
 
+    @cached_property
+    def tail_end_positions(self) -> tuple[tuple[int, int], ...]:
+        """Canonical positions of each tail's node ends, inside then outside."""
+        parent = self._rooted[1]
+        return tuple((v, parent[v]) if below else (parent[v], v) for v, below in self._tail_roots)
+
     def tail_ends(self, tail: Tail) -> tuple[str, str]:
         """Ends of the tail's node: the one inside the tail, then the one outside."""
         end_a, end_b = self.node_ends(tail.node)
@@ -497,10 +483,8 @@ class CurveTree:
         Each twist moves one unit of degree across the tail's node, onto
         its end inside Z; the total degree is unchanged.
         """
-        parent = self._rooted[1]
         degrees = list(md.degrees)
-        for (v, is_below), count in zip(self._tail_roots, counts, strict=True):
-            inside, outside = (v, parent[v]) if is_below else (parent[v], v)
+        for (inside, outside), count in zip(self.tail_end_positions, counts, strict=True):
             degrees[inside] += count
             degrees[outside] -= count
         return Multidegree(tuple(degrees))

@@ -61,8 +61,6 @@ class Polarization:
         return 1 if self.d == self.g - 1 else 2 * self.g - 2
 
     def degree_on(self, sub: Subcurve) -> int:
-        if self.d == self.g - 1:
-            return 0
         return (self.g - 1 - self.d) * self.tree.omega_degree(sub)
 
 

@@ -3,10 +3,15 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import treeabel.abel
 from treeabel import (
     Branch,
+    CurveTree,
     DivisorRep,
+    GenSpec,
     NodePoint,
     SmoothPoint,
     semicentral_components,
@@ -20,6 +25,7 @@ from treeabel import (
     is_quasistable,
     multidegree_of,
     principal_component,
+    random_tree,
     twist_delta,
     twist_step,
 )
@@ -223,6 +229,14 @@ class TestAbelD:
                 assert abel_d(tree, xpr, tuple(shuffled)) == image
 
 
+def twist_step_chain(tree, xpr, dmax):
+    """e_1 .. e_dmax by the paper's recursion, one twist_step per degree."""
+    seq = [e1(tree, xpr)]
+    while len(seq) < dmax:
+        seq.append(twist_step(tree, seq[-1], xpr))
+    return seq[:dmax]
+
+
 def abel_d_stepwise(tree, xpr, config):
     """The degree-d image by the twist stack itself: the sum of the abel1
     images, twisted down by every big tail of e_1 .. e_{d-1}, one at a time."""
@@ -230,12 +244,61 @@ def abel_d_stepwise(tree, xpr, config):
     for point in config:
         for sym, c in abel1(tree, xpr, point).coeffs:
             acc[sym] = acc.get(sym, 0) + c
-    if len(config) > 1:
-        for md in e_sequence(tree, xpr, len(config) - 1):
-            for tail in big_tails(tree, md, xpr):
-                for sym, c in twist_delta(tree, tail, -1).divisor.coeffs:
-                    acc[sym] = acc.get(sym, 0) + c
+    for md in twist_step_chain(tree, xpr, len(config) - 1):
+        for tail in big_tails(tree, md, xpr):
+            for sym, c in twist_delta(tree, tail, -1).divisor.coeffs:
+                acc[sym] = acc.get(sym, 0) + c
     return DivisorRep.from_mapping(acc)
+
+
+def chain_tree():
+    genera = [1, 1, 2, 3, 1, 2, 1, 1, 3, 1, 2, 1, 1, 1, 2, 1, 3, 1, 1, 2]
+    return CurveTree.build(
+        [(f"C{i:02d}", gz) for i, gz in enumerate(genera)],
+        [(f"n{i:02d}", f"C{i:02d}", f"C{i + 1:02d}") for i in range(len(genera) - 1)],
+    )
+
+
+def star_tree():
+    genera = [1, 2, 1, 3, 1, 1, 2, 1, 1, 4, 1, 2]
+    return CurveTree.build(
+        [("H", 0)] + [(f"L{i:02d}", gz) for i, gz in enumerate(genera)],
+        [(f"n{i:02d}", "H", f"L{i:02d}") for i in range(len(genera))],
+    )
+
+
+class TestESequenceAgainstTwistStep:
+    """The closed form against the paper's recursion, off-centre X included."""
+
+    @staticmethod
+    def check(trees, dmax=40):
+        for tree in trees:
+            for xpr in tree.ids:
+                assert e_sequence(tree, xpr, dmax) == tuple(twist_step_chain(tree, xpr, dmax))
+
+    def test_corpus(self, corpus500):
+        self.check(corpus500)
+
+    def test_half_genus_trees(self, delta50):
+        self.check(delta50)
+
+    def test_chain_and_star(self):
+        self.check([chain_tree(), star_tree()])
+
+    def test_no_stepwise_calls(self, monkeypatch, corpus500):
+        def refuse(*args):
+            raise AssertionError("stepwise construction called")
+
+        for name in ("twist_step", "abel1", "e_sequence", "big_tails"):
+            monkeypatch.setattr(treeabel.abel, name, refuse)
+        tree = corpus500[7]
+        points = (NodePoint(tree.nodes[0].id), SmoothPoint(tree.ids[0], "p")) * 3
+        for xpr in tree.ids:
+            treeabel.abel.abel_d(tree, xpr, points)
+        monkeypatch.undo()
+        monkeypatch.setattr(treeabel.abel, "twist_step", refuse)
+        for xpr in tree.ids:
+            treeabel.abel.e_sequence(tree, xpr, 20)
 
 
 class TestAbelDAgainstStepwiseTwists:
@@ -263,6 +326,40 @@ def random_point(tree, rng):
         return NodePoint(rng.choice(tree.nodes).id)
     cid = rng.choice(tree.ids)
     return SmoothPoint(cid, f"p{rng.randrange(3)}")
+
+
+def valid_spec(spec):
+    return not spec.force_delta_half or (spec.genus % 2 == 0 and spec.max_components >= 2)
+
+
+specs = st.builds(
+    GenSpec,
+    genus=st.integers(2, 14),
+    max_components=st.integers(1, 12),
+    seed=st.integers(0, 2**32),
+    force_delta_half=st.booleans(),
+).filter(valid_spec)
+
+# derandomized, so that the suite draws the same examples on every run
+property_settings = settings(max_examples=80, deadline=None, derandomize=True)
+
+
+class TestClosedFormProperties:
+    @property_settings
+    @given(spec=specs, data=st.data(), dmax=st.integers(1, 60))
+    def test_e_sequence_is_the_twist_step_chain(self, spec, data, dmax):
+        tree = random_tree(spec)
+        xpr = data.draw(st.sampled_from(tree.ids), label="X")
+        assert e_sequence(tree, xpr, dmax) == tuple(twist_step_chain(tree, xpr, dmax))
+
+    @property_settings
+    @given(spec=specs, data=st.data(), d=st.integers(1, 60))
+    def test_abel_d_is_the_stepwise_image(self, spec, data, d):
+        tree = random_tree(spec)
+        xpr = data.draw(st.sampled_from(tree.ids), label="X")
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="points seed"))
+        config = tuple(random_point(tree, rng) for _ in range(d))
+        assert abel_d(tree, xpr, config) == abel_d_stepwise(tree, xpr, config)
 
 
 class TestTwistStepProperty:

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import importlib
+
+import pytest
+
 import oracles
 from treeabel import (
     central_components,
@@ -91,6 +95,24 @@ class TestSmallTails:
             small = set(small_tails(tree, xpr))
             for node in tree.nodes:
                 assert sum(1 for t in tree.tails_at(node.id) if t in small) == 1
+
+    def test_at_node_agrees_with_small_tails_for_every_x(self, corpus500, delta50):
+        for tree in corpus500[:80] + delta50:
+            for xpr in tree.ids:
+                small = small_tails(tree, xpr)
+                for node in tree.nodes:
+                    tail = small_tail_at_node(tree, xpr, node.id)
+                    assert tail in small and tail.node == node.id
+
+    def test_internal_check_names_node_x_and_size(self, monkeypatch, chain111):
+        # the package re-exports the function classify() under the module's name
+        module = importlib.import_module("treeabel.classify")
+        monkeypatch.setattr(module, "is_small_tail", lambda *args: True)
+        with pytest.raises(RuntimeError) as err:
+            small_tail_at_node(chain111, "C2", "n1")
+        message = str(err.value)
+        assert message.startswith("internal check failed")
+        assert "'n1'" in message and "'C2'" in message and "3 components" in message
 
 
 class TestAgainstBruteforce:

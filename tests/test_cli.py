@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from treeabel import cli
 from treeabel.cli import main
 
 
@@ -183,7 +184,8 @@ class TestErrors:
     def test_missing_file_is_domain_error(self, capsys):
         code, _, err = run(capsys, "classify", "/nonexistent/tree.json")
         assert code == 1
-        assert "error:" in err
+        assert err.startswith("error:") and "No such file" in err
+        assert "/nonexistent/tree.json" in err
 
     def test_invalid_tree_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -232,6 +234,56 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "nested too deeply" in err
+
+    @pytest.mark.parametrize("command", ["eseq", "compare"])
+    def test_dmax_over_the_cost_limit(self, capsys, two22_file, command):
+        dmax = cli.MAX_DEGREE_WORK // 2 + 1
+        code, out, err = run(capsys, command, two22_file, "--dmax", str(dmax))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and f"--dmax {dmax} on 2 components" in err
+
+    def test_dmax_limit_is_on_degrees_times_components(self, capsys, monkeypatch, two22_file):
+        monkeypatch.setattr(cli, "MAX_DEGREE_WORK", 6)
+        assert run(capsys, "eseq", two22_file, "--dmax", "3")[:2] == (0, "[[1,0],[1,1],[2,1]]\n")
+        code, _, err = run(capsys, "eseq", two22_file, "--dmax", "4")
+        assert code == 1 and "limit of 6" in err
+
+    def test_point_count_over_the_limit(self, capsys, monkeypatch, two22_file):
+        many = ",".join(["C1:p"] * (cli.MAX_POINTS + 1))
+        code, out, err = run(capsys, "abel", two22_file, "--points", many)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and f"{cli.MAX_POINTS + 1} points" in err
+        monkeypatch.setattr(cli, "MAX_POINTS", 3)
+        assert run(capsys, "abel", two22_file, "--points", "C1:p,,C1:p,C2:q")[0] == 0
+        assert run(capsys, "abel", two22_file, "--points", "C1:p,C1:p,C2:q,C2:q")[0] == 1
+
+    @pytest.mark.parametrize(
+        "component, node, named",
+        [
+            ("node", "n", "component id 'node'"),
+            ("a:b", "n", "component id 'a:b'"),
+            ("a,b", "n", "component id 'a,b'"),
+            (" C2", "n", "component id ' C2'"),
+            ("C2", "m,n", "node id 'm,n'"),
+        ],
+    )
+    def test_unaddressable_ids_rejected_by_abel(self, capsys, tmp_path, component, node, named):
+        path = tmp_path / "ids.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "components": [{"id": "C1", "genus": 2}, {"id": component, "genus": 2}],
+                    "nodes": [{"id": node, "ends": ["C1", component]}],
+                }
+            )
+        )
+        code, out, err = run(capsys, "abel", str(path), "--points", "C1:p")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and named in err
+        assert run(capsys, "classify", str(path))[0] == 0
 
     def test_override_requires_force_off_center(self, capsys, chain111_file):
         code, _, err = run(

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import oracles
-from treeabel import CurveTree, InvalidTreeError, validate
+from treeabel import CurveTree, InvalidTreeError, Subcurve, validate
 
 
 def data(components, nodes):
@@ -185,8 +185,26 @@ class TestTails:
             assert tree.tail_sums(values) == tuple(md.on(t.side) for t in tree.tails)
             assert tree.tail_genera == tuple(tree.subcurve_genus(t.side) for t in tree.tails)
 
+    def test_tail_end_positions_match_tail_ends(self, corpus500):
+        for tree in corpus500[:150]:
+            for tail, (inside, outside) in zip(tree.tails, tree.tail_end_positions):
+                assert tree.tail_ends(tail) == (tree.ids[inside], tree.ids[outside])
+
 
 class TestConnectedSubcurves:
+    def test_connected_parts_match_oracle(self, corpus500):
+        rng = random.Random(5)
+        for tree in corpus500[:150]:
+            _, edges = oracles.tree_data(tree)
+            for _ in range(10):
+                sub = Subcurve(rng.randrange(1, 1 << len(tree.ids)))
+                parts = tree.connected_parts(sub)
+                expected = oracles.connected_parts(edges, frozenset(tree.members(sub)))
+                assert {frozenset(tree.members(p)) for p in parts} == set(expected)
+                assert len(parts) == len(expected)
+                lowest = [p.mask & -p.mask for p in parts]
+                assert lowest == sorted(lowest)
+
     def test_k_symmetric_under_complement(self, corpus500):
         for tree in corpus500[:120]:
             for sub in oracles.connected_subcurves(tree):

@@ -2,10 +2,13 @@
 
 A chain of 1,001 components and a 40-leaf star on a genus-0 hub.  The star
 has 2^40 connected subcurves, so only per-node work can finish on it; the
-chain checks that nothing is quadratic or worse in the number of nodes.
+chain checks that nothing is quadratic or worse in the number of nodes, and
+carries 200 degrees of e_d and a 200-point Abel image.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -67,3 +70,28 @@ def test_every_layer_runs(large):
 
     points = (SmoothPoint(end, "p"), NodePoint(node), SmoothPoint(principal, "q"), NodePoint(node))
     assert abel_d(tree, principal, points).multidegree(tree) == seq[3]
+
+
+@pytest.fixture(scope="module")
+def chain1001():
+    return chain(1001)
+
+
+def test_e_sequence_to_degree_200(chain1001):
+    # the principal component is central, so e_d is the X-quasistable multidegree
+    seq = e_sequence(chain1001, "C0500", 200)
+    assert len(seq) == 200
+    for d, md in enumerate(seq, start=1):
+        assert (md,) == enumerate_quasistable(chain1001, d, "C0500")
+
+
+def test_abel_d_on_200_points(chain1001):
+    rng = random.Random(1001)
+    points = tuple(
+        NodePoint(f"n{rng.randrange(1000):04d}")
+        if rng.random() < 0.3
+        else SmoothPoint(f"C{rng.randrange(1001):04d}", f"p{rng.randrange(3)}")
+        for _ in range(200)
+    )
+    image = abel_d(chain1001, "C0500", points)
+    assert image.multidegree(chain1001) == enumerate_quasistable(chain1001, 200, "C0500")[0]
