@@ -1,17 +1,20 @@
 """Central/semicentral components, the principal component, and small tails.
 
 A component is central (semicentral) when every connected component of its
-complement has genus strictly below (at most) half the total genus.  A
-valid tree has at most one central component; it has none exactly when some
-node splits the curve into two halves of equal genus, in which case exactly
-two semicentral components exist and they are joined by a node.
-
-The connected parts of a component's complement are the tails at its own
-nodes, on the far side, so every test here reads tail genera.
+complement has genus strictly below (at most) half the total genus.  Those
+parts are the tails at the component's own nodes, on the far side, so
+:func:`classify` fills one table in one pass over the tails: per component,
+the largest genus of a tail it is the outside end of.  Central, semicentral
+and principal components and the half-genus locus (some tail of genus g/2)
+are read from it; the other accessors read :func:`classify`.  A valid tree
+has at most one central component; it has none exactly when some node
+splits the curve into two halves of equal genus, and then exactly two
+semicentral components exist, joined by a node.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from .curves import CurveTree, Tail
@@ -25,64 +28,69 @@ class Classification:
     principal: str
 
 
-def _largest_part_genus(tree: CurveTree) -> dict[str, int]:
-    """Per component: the largest genus among the connected parts of its complement."""
-    largest = dict.fromkeys(tree.ids, 0)
-    for tail, genus in zip(tree.tails, tree.tail_genera):
-        outside = tree.tail_ends(tail)[1]
-        largest[outside] = max(largest[outside], genus)
-    return largest
+def _internal_error(tree: CurveTree, detail: str) -> RuntimeError:
+    """A failed internal check, carrying the tree so that it can be re-run."""
+    return RuntimeError(
+        f"internal check failed: {detail}; tree: {json.dumps(tree.to_data(), sort_keys=True)}"
+    )
+
+
+def classify(tree: CurveTree) -> Classification:
+    """Central, semicentral and principal components, and the half-genus locus.
+
+    The node criterion (some tail has genus g/2) is cross-checked against
+    the absence of a central component; the two characterizations must
+    agree on every valid tree, so a mismatch is an internal error, never a
+    result.  The principal component is the central one, or else the
+    lexicographically smaller of the two semicentral ones: either choice
+    is mathematically valid, so a fixed deterministic rule is used.
+    """
+    g = tree.genus
+    largest = [0] * len(tree.ids)
+    in_delta_half = False
+    for (_, outside), gz in zip(tree.tail_end_positions, tree.tail_genera):
+        largest[outside] = max(largest[outside], gz)
+        in_delta_half = in_delta_half or 2 * gz == g
+    central = tuple(cid for cid, top in zip(tree.ids, largest) if 2 * top < g)
+    semicentral = tuple(cid for cid, top in zip(tree.ids, largest) if 2 * top <= g)
+    if in_delta_half == bool(central):
+        raise _internal_error(
+            tree,
+            "node criterion and central-component criterion disagree "
+            f"(node: {in_delta_half}, central: {not central})",
+        )
+    if len(central) > 1:
+        raise _internal_error(tree, f"{len(central)} central components")
+    if not central and len(semicentral) != 2:
+        raise _internal_error(
+            tree, f"expected 2 semicentral components, found {len(semicentral)}"
+        )
+    return Classification(
+        central=central,
+        semicentral=semicentral,
+        in_delta_half=in_delta_half,
+        principal=central[0] if central else min(semicentral),
+    )
 
 
 def central_components(tree: CurveTree) -> tuple[str, ...]:
     """Components whose complement parts all have genus < g/2 (2*g_Z < g)."""
-    g = tree.genus
-    return tuple(cid for cid, top in _largest_part_genus(tree).items() if 2 * top < g)
+    return classify(tree).central
 
 
 def semicentral_components(tree: CurveTree) -> tuple[str, ...]:
     """Components whose complement parts all have genus <= g/2 (2*g_Z <= g)."""
-    g = tree.genus
-    return tuple(cid for cid, top in _largest_part_genus(tree).items() if 2 * top <= g)
+    return classify(tree).semicentral
 
 
 def is_in_delta_half(tree: CurveTree) -> bool:
-    """Whether some node splits the curve into two tails of genus g/2 each.
-
-    Computed from the node criterion and cross-checked against the absence
-    of a central component; the two characterizations must agree on every
-    valid tree, so a mismatch is an internal error, never a result.
-    """
-    g = tree.genus
-    by_nodes = any(2 * genus == g for genus in tree.tail_genera)
-    by_central = not central_components(tree)
-    if by_nodes != by_central:
-        raise RuntimeError(
-            "internal check failed: node criterion and central-component "
-            f"criterion disagree (node: {by_nodes}, central: {by_central})"
-        )
-    return by_nodes
+    """Whether some node splits the curve into two tails of genus g/2 each."""
+    return classify(tree).in_delta_half
 
 
 def principal_component(tree: CurveTree) -> str:
-    """The central component, or the lexicographically smaller semicentral one.
-
-    The tie-break only applies when no central component exists; either
-    semicentral choice is mathematically valid, so a fixed deterministic
-    rule is used.
-    """
-    central = central_components(tree)
-    if central:
-        if len(central) > 1:
-            raise RuntimeError(f"internal check failed: {len(central)} central components")
-        return central[0]
-    semicentral = semicentral_components(tree)
-    if len(semicentral) != 2:
-        raise RuntimeError(
-            "internal check failed: expected 2 semicentral components, "
-            f"found {len(semicentral)}"
-        )
-    return min(semicentral)
+    """The central component, or the lexicographically smaller semicentral one."""
+    return classify(tree).principal
 
 
 def is_small_tail(genus: int, tail_genus: int, away: bool) -> bool:
@@ -107,17 +115,9 @@ def small_tail_at_node(tree: CurveTree, xpr: str, node_id: str) -> Tail:
         if is_small_tail(tree.genus, tree.subcurve_genus(t.side), not tree.contains(t.side, xpr))
     ]
     if len(candidates) != 1:
-        raise RuntimeError(
-            f"internal check failed: node '{node_id}' has {len(candidates)} small tails "
-            f"for principal component '{xpr}' on a tree of {len(tree.ids)} components"
+        raise _internal_error(
+            tree,
+            f"node '{node_id}' has {len(candidates)} small tails "
+            f"for principal component '{xpr}' on a tree of {len(tree.ids)} components",
         )
     return candidates[0]
-
-
-def classify(tree: CurveTree) -> Classification:
-    return Classification(
-        central=central_components(tree),
-        semicentral=semicentral_components(tree),
-        in_delta_half=is_in_delta_half(tree),
-        principal=principal_component(tree),
-    )

@@ -15,13 +15,15 @@ from .classify import classify
 from .compare import compare_principals
 from .curves import CurveTree, Tail, validate
 from .generator import GenSpec, random_tree
-from .stability import enumerate_quasistable, enumerate_semistable
+from .stability import count_semistable, enumerate_quasistable, enumerate_semistable
 
 
 # Fixed limits on inputs whose cost grows without bound: eseq and compare do
-# O(dmax * components) work, and abel keeps every point.
+# O(dmax * components) work, abel keeps every point, and enumerate emits up
+# to two multidegrees per node.
 MAX_DEGREE_WORK = 10**6
 MAX_POINTS = 10**5
+MAX_MULTIDEGREES = 10**5
 
 
 def _emit(payload: object) -> None:
@@ -148,6 +150,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     tree = _load_tree(args.file)
     component = classify(tree).principal if args.principal else args.quasistable
     if component is None:
+        count = count_semistable(tree, args.degree)
+        if count > MAX_MULTIDEGREES:
+            # a power of two; str() refuses ints of over 4,300 digits (~14,000 leaves)
+            shown = count if count < 10**18 else f"2^{count.bit_length() - 1}"
+            raise ValueError(
+                f"--degree {args.degree} gives {shown} semistable multidegrees, "
+                f"over the limit of {MAX_MULTIDEGREES}"
+            )
         result = enumerate_semistable(tree, args.degree)
     elif component not in tree.ids:
         raise ValueError(f"unknown component '{component}'")

@@ -225,12 +225,13 @@ def validate(data: object) -> ValidationReport:
     """Check a raw tree description (parsed JSON) against every invariant.
 
     Nothing is repaired: each violated invariant is reported with the
-    offending component or node id.
+    offending component or node id, as :meth:`CurveTree.from_data` raises it.
     """
-    violations, components, nodes = _shape_violations(data)
-    if violations:
-        return ValidationReport(tuple(violations))
-    return ValidationReport(tuple(_structural_violations(components, nodes)))
+    try:
+        CurveTree.from_data(data)
+    except InvalidTreeError as exc:
+        return exc.report
+    return ValidationReport()
 
 
 @dataclass(frozen=True)
@@ -262,10 +263,9 @@ class CurveTree:
 
     @classmethod
     def from_data(cls, data: object) -> "CurveTree":
-        report = validate(data)
-        if not report.ok:
-            raise InvalidTreeError(report)
-        _, components, nodes = _shape_violations(data)
+        violations, components, nodes = _shape_violations(data)
+        if violations:
+            raise InvalidTreeError(ValidationReport(tuple(violations)))
         return cls(tuple(components), tuple(nodes))
 
     def to_data(self) -> dict:
@@ -509,9 +509,9 @@ class CurveTree:
         return Multidegree((0,) * len(self.ids))
 
     def unit_multidegree(self, component_id: str) -> Multidegree:
-        return Multidegree(
-            tuple(1 if i == self._index[component_id] else 0 for i in range(len(self.ids)))
-        )
+        degrees = [0] * len(self.ids)
+        degrees[self._index[component_id]] = 1
+        return Multidegree(tuple(degrees))
 
     def multidegree_as_dict(self, md: Multidegree) -> dict[str, int]:
         return dict(zip(self.ids, md.degrees, strict=True))

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
+from typing import Sequence
 
 from .curves import CurveTree, Multidegree, Subcurve
 
@@ -158,6 +160,21 @@ def _tail_window(d: int, genus: int, tail_genus: int) -> range:
     return range(-(-(d * omega - h) // (2 * h)), (d * omega + h) // (2 * h) + 1)
 
 
+def _semistable_choices(tree: CurveTree, d: int) -> list[Sequence[int]]:
+    """Per tail: the twist counts a semistable multidegree of degree d allows it."""
+    if d < 0:
+        raise ValueError(f"total degree must be >= 0, got {d}")
+    return [
+        _tail_window(d, tree.genus, gz) if away else (0,)
+        for gz, away in zip(tree.tail_genera, tree.avoids(tree.ids[0]))
+    ]
+
+
+def count_semistable(tree: CurveTree, d: int) -> int:
+    """How many multidegrees :func:`enumerate_semistable` returns, in O(n)."""
+    return prod(len(choice) for choice in _semistable_choices(tree, d))
+
+
 def enumerate_semistable(tree: CurveTree, d: int) -> tuple[Multidegree, ...]:
     """All semistable multidegrees of total degree d, canonically sorted.
 
@@ -165,13 +182,8 @@ def enumerate_semistable(tree: CurveTree, d: int) -> tuple[Multidegree, ...]:
     each choice of one degree per node is one semistable multidegree,
     reached from d on component 0 by twisting each such tail that often.
     """
-    if d < 0:
-        raise ValueError(f"total degree must be >= 0, got {d}")
+    choices = _semistable_choices(tree, d)
     base = tree.unit_multidegree(tree.ids[0]).scaled(d)
-    choices = [
-        _tail_window(d, tree.genus, gz) if away else (0,)
-        for gz, away in zip(tree.tail_genera, tree.avoids(tree.ids[0]))
-    ]
     out = [tree.twist(base, counts) for counts in product(*choices)]
     out.sort(key=lambda md: md.degrees)
     return tuple(out)

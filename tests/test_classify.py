@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import importlib
+import json
 
 import pytest
 
 import oracles
 from treeabel import (
+    CurveTree,
     central_components,
     classify,
     is_in_delta_half,
@@ -141,3 +143,44 @@ class TestClassificationInvariants:
                 assert report.principal == min(report.semicentral)
             else:
                 assert report.principal in report.central
+
+
+def largest_part_genus(tree) -> dict[str, int]:
+    """Per component, by name lookups per tail: the largest genus of a complement part."""
+    largest = dict.fromkeys(tree.ids, 0)
+    for tail, genus in zip(tree.tails, tree.tail_genera):
+        outside = tree.tail_ends(tail)[1]
+        largest[outside] = max(largest[outside], genus)
+    return largest
+
+
+class TestOneTable:
+    def test_accessors_read_classify(self, corpus500):
+        for tree in corpus500:
+            report = classify(tree)
+            assert central_components(tree) == report.central
+            assert semicentral_components(tree) == report.semicentral
+            assert is_in_delta_half(tree) == report.in_delta_half
+            assert principal_component(tree) == report.principal
+
+    def test_table_matches_per_tail_lookups(self, corpus500, delta50):
+        for tree in corpus500 + delta50:
+            g, largest = tree.genus, largest_part_genus(tree)
+            report = classify(tree)
+            assert report.central == tuple(c for c, top in largest.items() if 2 * top < g)
+            assert report.semicentral == tuple(c for c, top in largest.items() if 2 * top <= g)
+            assert report.in_delta_half == any(2 * gz == g for gz in tree.tail_genera)
+            assert report.principal == min(report.central or report.semicentral)
+
+
+class TestInternalCheckContext:
+    def test_message_rebuilds_the_tree(self, monkeypatch, chain1111):
+        # every tail reads genus 0, so every component looks central
+        monkeypatch.setitem(chain1111.__dict__, "tail_genera", (0,) * len(chain1111.tails))
+        with pytest.raises(RuntimeError) as err:
+            classify(chain1111)
+        message = str(err.value)
+        assert message.startswith("internal check failed: 4 central components; tree: ")
+        rebuilt = CurveTree.from_data(json.loads(message.split("; tree: ", 1)[1]))
+        assert rebuilt.to_data() == chain1111.to_data()
+        assert classify(rebuilt).principal == "C2"

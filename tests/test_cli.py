@@ -57,6 +57,15 @@ def chain111_file(tmp_path):
     return str(path)
 
 
+def star_data(leaves: int) -> dict:
+    """A genus-0 hub joined to ``leaves`` genus-1 components."""
+    return {
+        "components": [{"id": "H", "genus": 0}]
+        + [{"id": f"L{i}", "genus": 1} for i in range(leaves)],
+        "nodes": [{"id": f"n{i}", "ends": ["H", f"L{i}"]} for i in range(leaves)],
+    }
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -248,6 +257,38 @@ class TestErrors:
         assert run(capsys, "eseq", two22_file, "--dmax", "3")[:2] == (0, "[[1,0],[1,1],[2,1]]\n")
         code, _, err = run(capsys, "eseq", two22_file, "--dmax", "4")
         assert code == 1 and "limit of 6" in err
+
+    def test_semistable_count_over_the_limit(self, capsys, tmp_path):
+        # a genus-0 hub with 17 genus-1 leaves: each leaf takes degree 0 or 1 at d = 16
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(star_data(17)))
+        code, out, err = run(capsys, "enumerate", str(path), "--degree", "16")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "gives 131072 semistable multidegrees" in err
+        assert f"limit of {cli.MAX_MULTIDEGREES}" in err
+        code, out, _ = run(capsys, "enumerate", str(path), "--degree", "16", "--principal")
+        assert code == 0 and len(json.loads(out)) == 1
+
+    def test_huge_semistable_count_printed_as_a_power_of_two(self, capsys, tmp_path):
+        # past about 14,000 leaves the count has more digits than str(int) allows
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(star_data(60)))
+        code, out, err = run(capsys, "enumerate", str(path), "--degree", "59")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "gives 2^60 semistable multidegrees" in err
+
+    def test_multidegree_limit_is_on_the_output_count(self, capsys, monkeypatch, two22_file):
+        monkeypatch.setattr(cli, "MAX_MULTIDEGREES", 2)
+        assert run(capsys, "enumerate", two22_file, "--degree", "1")[:2] == (
+            0,
+            '[{"C1":0,"C2":1},{"C1":1,"C2":0}]\n',
+        )
+        monkeypatch.setattr(cli, "MAX_MULTIDEGREES", 1)
+        code, _, err = run(capsys, "enumerate", two22_file, "--degree", "1")
+        assert code == 1 and "gives 2 semistable multidegrees, over the limit of 1" in err
+        assert run(capsys, "enumerate", two22_file, "--degree", "1", "--principal")[0] == 0
 
     def test_point_count_over_the_limit(self, capsys, monkeypatch, two22_file):
         many = ",".join(["C1:p"] * (cli.MAX_POINTS + 1))

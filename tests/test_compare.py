@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import importlib
+import json
+
 import pytest
 
 from treeabel import (
     CurveTree,
     InvalidTreeError,
+    TwistDelta,
+    big_tails,
     compare_principals,
     is_quasistable,
     is_semistable,
@@ -95,3 +100,38 @@ class TestDifferenceSupport:
         for tree in delta50:
             report = compare_principals(tree, 8)
             assert multidegree_difference_support(tree, report)
+
+
+class TestHalfGenusTail:
+    def test_direct_eps_is_big_tail_membership(self, delta50):
+        for tree in delta50:
+            report = compare_principals(tree, 40)
+            eta = [1]
+            for d in range(1, 41):
+                e1, e2 = report.e1_sequence[d - 1], report.e2_sequence[d - 1]
+                eps1 = report.y2 in big_tails(tree, e1, report.x1)
+                eps2 = report.y1 in big_tails(tree, e2, report.x2)
+                assert (2 * e1.on(report.y2.side) < d) == eps1
+                assert (2 * e2.on(report.y1.side) < d) == eps2
+                eta.append(eta[-1] + 1 - int(eps1) - int(eps2))
+            assert report.eta == tuple(eta[:40])
+
+    def test_internal_check_message_rebuilds_the_tree(self, monkeypatch, two22):
+        module = importlib.import_module("treeabel.compare")
+        real = module.twist_delta
+
+        def no_step(tree, tail, sign):
+            delta = real(tree, tail, sign)
+            return TwistDelta(delta.tail, tree.zero_multidegree(), delta.divisor)
+
+        monkeypatch.setattr(module, "twist_delta", no_step)
+        with pytest.raises(RuntimeError) as err:
+            compare_principals(two22, 3)
+        message = str(err.value)
+        assert message.startswith(
+            "internal check failed: twist relation broken at degree 1 "
+            "for principal components 'C1', 'C2'; tree: "
+        )
+        rebuilt = CurveTree.from_data(json.loads(message.split("; tree: ", 1)[1]))
+        monkeypatch.undo()
+        assert compare_principals(rebuilt, 3) == compare_principals(two22, 3)

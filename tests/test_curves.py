@@ -5,7 +5,7 @@ import random
 import pytest
 
 import oracles
-from treeabel import CurveTree, InvalidTreeError, Subcurve, validate
+from treeabel import CurveTree, InvalidTreeError, Subcurve, curves, validate
 
 
 def data(components, nodes):
@@ -83,6 +83,122 @@ class TestValidate:
 
     def test_from_data_round_trip(self, chain111):
         assert CurveTree.from_data(chain111.to_data()) == chain111
+
+
+# One input per violation kind, shape and structure, with the violations
+# validate reported when it ran the shape parse and the structural checks
+# itself, before it became the report of from_data.
+REPORT_TABLE = [
+    ([1, 2, 3], ["tree data must be a JSON object"]),
+    ({"components": [], "nodes": [], "extra": 1}, ["unknown key 'extra'"]),
+    ({"components": [{"id": "C1", "genus": 2}]}, ["missing key 'nodes'"]),
+    ({"components": "C1", "nodes": []}, ["'components' must be a list"]),
+    (
+        {
+            "components": [
+                {"id": "C1", "genus": 2, "color": "red"},
+                {"id": 7, "genus": 1},
+                {"id": "C3", "genus": -1},
+            ],
+            "nodes": "n",
+        },
+        [
+            "component entry 0 must be an object with keys id, genus",
+            "component entry 1 has a non-string id",
+            "component 'C3' genus must be a non-negative integer",
+            "'nodes' must be a list",
+        ],
+    ),
+    (
+        {
+            "components": [{"id": "C1", "genus": 2.0}, {"id": "C2", "genus": True}],
+            "nodes": [
+                {"id": "n"},
+                {"id": "", "ends": ["C1", "C2"]},
+                {"id": "m", "ends": ["C1"]},
+                {"id": "k", "ends": "C1C2"},
+            ],
+        },
+        [
+            "component 'C1' genus must be a non-negative integer",
+            "component 'C2' genus must be a non-negative integer",
+            "node entry 0 must be an object with keys id, ends",
+            "node entry 1 has a non-string id",
+            "node 'm' ends must be a pair of component ids",
+            "node 'k' ends must be a pair of component ids",
+        ],
+    ),
+    (
+        data([("C1", 2), ("C2", 0)], [("n", "C1", "C2")]),
+        ["stability: genus-0 component 'C2' needs >=3 nodes, has 1"],
+    ),
+    (
+        data([("C1", 2), ("C2", 2)], [("n1", "C1", "C2"), ("n2", "C1", "C2")]),
+        ["not a tree: 2 nodes on 2 components"],
+    ),
+    (
+        data(
+            [("C1", 2), ("C2", 2), ("C3", 2), ("C4", 2)],
+            [("n1", "C1", "C2"), ("n2", "C3", "C4"), ("n3", "C1", "C2")],
+        ),
+        ["not a tree: graph is disconnected"],
+    ),
+    (data([("C1", 2), ("C2", 2)], [("n", "C1", "C1")]), ["node 'n' is a self-loop on component 'C1'"]),
+    (
+        data([("C1", 2), ("C1", 2)], [("n", "C1", "C9")]),
+        ["duplicate component id 'C1'", "node 'n' references unknown component 'C9'"],
+    ),
+    (data([("C1", 1)], []), ["total genus 1 is less than 2"]),
+    (data([], []), ["tree has no components"]),
+    (
+        data([("C1", 1), ("C2", 0), ("C3", 1)], [("n", "C1", "C2"), ("n", "C2", "C3")]),
+        ["duplicate node id 'n'", "stability: genus-0 component 'C2' needs >=3 nodes, has 2"],
+    ),
+]
+
+
+def two_pass_violations(payload) -> tuple[str, ...]:
+    """The former validate: the shape parse, then the structural checks on its result."""
+    violations, components, nodes = curves._shape_violations(payload)
+    if violations:
+        return tuple(violations)
+    return tuple(curves._structural_violations(components, nodes))
+
+
+class TestOneParse:
+    @pytest.mark.parametrize("payload, expected", REPORT_TABLE)
+    def test_validate_is_the_report_from_data_raises(self, payload, expected):
+        with pytest.raises(InvalidTreeError) as err:
+            CurveTree.from_data(payload)
+        assert err.value.report.violations == tuple(expected)
+        assert validate(payload).violations == tuple(expected)
+        assert two_pass_violations(payload) == tuple(expected)
+        assert str(err.value) == "; ".join(expected)
+
+    def test_valid_tree_has_an_empty_report(self, corpus500):
+        for tree in corpus500[:50]:
+            payload = tree.to_data()
+            assert validate(payload) == curves.ValidationReport()
+            assert two_pass_violations(payload) == ()
+
+    def test_one_shape_parse_and_one_structural_check(self, monkeypatch, chain1111):
+        calls = {"shape": 0, "structure": 0}
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(curves, "_shape_violations", counted("shape", curves._shape_violations))
+        monkeypatch.setattr(
+            curves, "_structural_violations", counted("structure", curves._structural_violations)
+        )
+        assert CurveTree.from_data(chain1111.to_data()) == chain1111
+        assert calls == {"shape": 1, "structure": 1}
+        assert validate(chain1111.to_data()).ok
+        assert calls == {"shape": 2, "structure": 2}
 
 
 class TestGenus:

@@ -14,6 +14,7 @@ from treeabel import (
     is_semistable_at,
     polarization,
 )
+from treeabel.stability import count_semistable
 
 
 def sample_multidegrees(tree, d, count, rng):
@@ -182,6 +183,13 @@ class TestEnumerate:
         for d in range(0, 4):
             got = [md.degrees for md in enumerate_semistable(chain111, d)]
             assert got == sorted(got)
+
+    def test_count_is_the_number_enumerated(self, corpus500, two22):
+        for tree in corpus500[:150]:
+            for d in range(0, 5):
+                assert count_semistable(tree, d) == len(enumerate_semistable(tree, d))
+        with pytest.raises(ValueError):
+            count_semistable(two22, -1)
 
 
 class TestEnumerateQuasistable:
