@@ -216,10 +216,11 @@ def _point_in_tail(tree: CurveTree, point: Point, tail: Tail) -> bool:
 
 
 def _check_point(tree: CurveTree, point: Point) -> None:
+    """Raise ``KeyError`` naming the point's node or component if the tree lacks it."""
     if isinstance(point, NodePoint):
         tree.node_ends(point.node)
-    elif point.component not in tree.ids:
-        raise KeyError(f"unknown component '{point.component}'")
+    else:
+        tree.genus_of(point.component)
 
 
 def abel1(tree: CurveTree, xpr: str, point: Point) -> DivisorRep:

@@ -19,11 +19,13 @@ from .stability import count_semistable, enumerate_quasistable, enumerate_semist
 
 
 # Fixed limits on inputs whose cost grows without bound: eseq and compare do
-# O(dmax * components) work, abel keeps every point, and enumerate emits up
-# to two multidegrees per node.
+# O(dmax * components) work, abel keeps every point, enumerate emits up to
+# two multidegrees per node, and gen draws up to --max-components vertices
+# and one random choice per unit of --genus.
 MAX_DEGREE_WORK = 10**6
 MAX_POINTS = 10**5
 MAX_MULTIDEGREES = 10**5
+MAX_GEN_SIZE = 10**5
 
 
 def _emit(payload: object) -> None:
@@ -97,8 +99,7 @@ def _parse_points(tree: CurveTree, spec: str) -> list[Point]:
             tree.node_ends(rest)
             points.append(NodePoint(rest))
         else:
-            if head not in tree.ids:
-                raise ValueError(f"unknown component '{head}'")
+            tree.genus_of(head)
             if "@" in rest:
                 # labels share the output keys with node branches, named NODE@COMP
                 raise ValueError(f"bad point token '{token}': labels cannot contain '@'")
@@ -211,6 +212,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    for flag, value in (("--genus", args.genus), ("--max-components", args.max_components)):
+        if value > MAX_GEN_SIZE:
+            raise ValueError(f"{flag} {value} exceeds the limit of {MAX_GEN_SIZE}")
     spec = GenSpec(
         genus=args.genus,
         max_components=args.max_components,

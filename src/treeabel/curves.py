@@ -7,9 +7,10 @@ is computed from this combinatorial model, so construction is strict: a
 ``CurveTree`` violating treeness or stability cannot be built.
 
 Every question the package decides reduces to facts about tails, the two
-sides of a node.  A tree keeps one rooted index (BFS order and parents from
-component 0) from which come the tails and one O(n) primitive,
-:meth:`CurveTree.tail_sums`, giving every tail's degree or genus.
+sides of a node.  The traversal that checks treeness (a BFS from component
+0) also builds the tree's one rooted index, from which come the tails and
+one O(n) primitive, :meth:`CurveTree.tail_sums`, giving every tail's degree
+or genus.
 
 Subcurves are bitsets over the canonical (lexicographic) component order,
 which keeps complements and containment tests cheap and every enumeration
@@ -99,7 +100,19 @@ class Multidegree:
         return Multidegree(tuple(factor * a for a in self.degrees))
 
 
-def _structural_violations(components: Sequence[Component], nodes: Sequence[Node]) -> list[str]:
+def _index_structure(
+    components: Sequence[Component], nodes: Sequence[Node]
+) -> tuple[list[str], dict[str, object]]:
+    """Check the structural invariants; on a valid tree, also return its rooted index.
+
+    One traversal does both: the BFS from component 0 is the connectivity
+    check, and the neighbour-list lengths are the degrees the genus-0
+    stability check reads.  The index, empty on any violation, holds the
+    :class:`CurveTree` attributes: the public ``ids``, ``genus`` and ``full``,
+    ``_position`` (id -> position), ``_genera``, ``_edges`` ((node id, end
+    position, end position), sorted by node id), ``_edge_position`` (node id
+    -> edge position), and the BFS ``_order`` and ``_parent`` (-1 at the root).
+    """
     violations: list[str] = []
 
     seen_components: set[str] = set()
@@ -126,43 +139,52 @@ def _structural_violations(components: Sequence[Component], nodes: Sequence[Node
         if a == b:
             violations.append(f"node '{node.id}' is a self-loop on component '{a}'")
             referential_ok = False
+    if not referential_ok:
+        return violations, {}
 
-    if referential_ok and components:
-        if len(nodes) != len(components) - 1:
+    n = len(components)
+    ids, genera = zip(*sorted((comp.id, comp.genus) for comp in components))
+    position = {cid: i for i, cid in enumerate(ids)}
+    edges = tuple(
+        (node.id, position[node.ends[0]], position[node.ends[1]])
+        for node in sorted(nodes, key=lambda node: node.id)
+    )
+    neighbors: list[list[int]] = [[] for _ in ids]
+    for _, a, b in edges:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+
+    parent = [-1] * n
+    order = [0]
+    if len(nodes) != n - 1:
+        violations.append(f"not a tree: {len(nodes)} nodes on {n} components")
+    else:
+        for v in order:
+            for w in neighbors[v]:
+                if w and parent[w] < 0:
+                    parent[w] = v
+                    order.append(w)
+        if len(order) != n:
+            violations.append("not a tree: graph is disconnected")
+
+    for comp in components:
+        degree = len(neighbors[position[comp.id]])
+        if comp.genus == 0 and degree < 3:
             violations.append(
-                f"not a tree: {len(nodes)} nodes on {len(components)} components"
+                f"stability: genus-0 component '{comp.id}' needs >=3 nodes, has {degree}"
             )
-        else:
-            adjacency: dict[str, set[str]] = {c.id: set() for c in components}
-            for node in nodes:
-                a, b = node.ends
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-            stack = [components[0].id]
-            reached = {components[0].id}
-            while stack:
-                for other in adjacency[stack.pop()]:
-                    if other not in reached:
-                        reached.add(other)
-                        stack.append(other)
-            if len(reached) != len(components):
-                violations.append("not a tree: graph is disconnected")
 
-        degree = {c.id: 0 for c in components}
-        for node in nodes:
-            degree[node.ends[0]] += 1
-            degree[node.ends[1]] += 1
-        for comp in components:
-            if comp.genus == 0 and degree[comp.id] < 3:
-                violations.append(
-                    f"stability: genus-0 component '{comp.id}' needs >=3 nodes, has {degree[comp.id]}"
-                )
-
-        total = sum(c.genus for c in components)
-        if total < 2:
-            violations.append(f"total genus {total} is less than 2")
-
-    return violations
+    total = sum(genera)
+    if total < 2:
+        violations.append(f"total genus {total} is less than 2")
+    if violations:
+        return violations, {}
+    return violations, {
+        "ids": ids, "genus": total, "full": Subcurve((1 << n) - 1),
+        "_position": position, "_genera": genera, "_edges": edges,
+        "_edge_position": {nid: i for i, (nid, _, _) in enumerate(edges)},
+        "_order": tuple(order), "_parent": tuple(parent),
+    }
 
 
 def _shape_violations(data: object) -> tuple[list[str], list[Component], list[Node]]:
@@ -239,16 +261,20 @@ class CurveTree:
     """Stable curve of compact type: a genus-weighted tree.
 
     Instances are immutable and always valid; construction raises
-    :class:`InvalidTreeError` otherwise.
+    :class:`InvalidTreeError` otherwise.  It also sets ``ids`` (component ids
+    in canonical, lexicographic order), ``genus`` (the sum of the component
+    genera; separating nodes add none) and ``full`` (the whole curve).
     """
 
     components: tuple[Component, ...]
     nodes: tuple[Node, ...]
 
     def __post_init__(self) -> None:
-        violations = _structural_violations(self.components, self.nodes)
+        violations, index = _index_structure(self.components, self.nodes)
         if violations:
             raise InvalidTreeError(ValidationReport(tuple(violations)))
+        for name, value in index.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def build(
@@ -270,66 +296,39 @@ class CurveTree:
 
     def to_data(self) -> dict:
         return {
-            "components": [{"id": cid, "genus": self.genus_of(cid)} for cid in self.ids],
-            "nodes": [
-                {"id": node.id, "ends": list(node.ends)}
-                for node in sorted(self.nodes, key=lambda n: n.id)
-            ],
+            "components": [{"id": cid, "genus": g} for cid, g in zip(self.ids, self._genera)],
+            "nodes": [{"id": nid, "ends": [self.ids[a], self.ids[b]]} for nid, a, b in self._edges],
         }
 
-    # -- canonical order and lookups ------------------------------------
+    # -- lookups in the index that construction sets ------------------------
 
-    @cached_property
-    def ids(self) -> tuple[str, ...]:
-        """Component ids in canonical (lexicographic) order."""
-        return tuple(sorted(c.id for c in self.components))
+    def _component(self, component_id: str) -> int:
+        """Canonical position of a component."""
+        try:
+            return self._position[component_id]
+        except KeyError:
+            raise KeyError(f"unknown component '{component_id}'") from None
 
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {cid: i for i, cid in enumerate(self.ids)}
-
-    @cached_property
-    def _genera(self) -> tuple[int, ...]:
-        by_id = {c.id: c.genus for c in self.components}
-        return tuple(by_id[cid] for cid in self.ids)
-
-    @cached_property
-    def _edges(self) -> tuple[tuple[str, int, int], ...]:
-        """(node id, end index, end index), sorted by node id."""
-        return tuple(
-            (node.id, self._index[node.ends[0]], self._index[node.ends[1]])
-            for node in sorted(self.nodes, key=lambda n: n.id)
-        )
-
-    @cached_property
-    def full(self) -> Subcurve:
-        return Subcurve((1 << len(self.ids)) - 1)
+    def _edge(self, node_id: str) -> int:
+        """Position of a node in ``_edges``, which is also its tail pair's in ``tails``."""
+        try:
+            return self._edge_position[node_id]
+        except KeyError:
+            raise KeyError(f"unknown node '{node_id}'") from None
 
     def genus_of(self, component_id: str) -> int:
-        return self._genera[self._index[component_id]]
+        return self._genera[self._component(component_id)]
 
     def node_ends(self, node_id: str) -> tuple[str, str]:
-        if node_id not in self._node_ends:
-            raise KeyError(f"unknown node '{node_id}'")
-        return self._node_ends[node_id]
-
-    @cached_property
-    def _node_ends(self) -> dict[str, tuple[str, str]]:
-        return {node.id: node.ends for node in self.nodes}
+        _, a, b = self._edges[self._edge(node_id)]
+        return self.ids[a], self.ids[b]
 
     # -- subcurve combinatorics ------------------------------------------
-
-    @cached_property
-    def genus(self) -> int:
-        """Total genus: the sum over components (separating nodes add none)."""
-        return sum(self._genera)
 
     def subcurve(self, members: Iterable[str]) -> Subcurve:
         mask = 0
         for cid in members:
-            if cid not in self._index:
-                raise KeyError(f"unknown component '{cid}'")
-            mask |= 1 << self._index[cid]
+            mask |= 1 << self._component(cid)
         if not mask:
             raise ValueError("subcurve must be non-empty")
         return Subcurve(mask)
@@ -341,15 +340,11 @@ class CurveTree:
         return Subcurve(self.full.mask ^ sub.mask)
 
     def contains(self, sub: Subcurve, component_id: str) -> bool:
-        return bool(sub.mask >> self._index[component_id] & 1)
+        return bool(sub.mask >> self._component(component_id) & 1)
 
     def k(self, sub: Subcurve) -> int:
         """Number of nodes joining ``sub`` to its complement (crossing edges)."""
-        return sum(
-            1
-            for _, a, b in self._edges
-            if (sub.mask >> a & 1) != (sub.mask >> b & 1)
-        )
+        return sum((sub.mask >> a & 1) != (sub.mask >> b & 1) for _, a, b in self._edges)
 
     def subcurve_genus(self, sub: Subcurve) -> int:
         """Genus of a subcurve: the sum of its component genera."""
@@ -361,10 +356,10 @@ class CurveTree:
         Rooted at component 0, each part hangs from its one member whose
         parent lies outside the subcurve.
         """
-        order, parent = self._rooted
+        parent = self._parent
         top: dict[int, int] = {}
         parts: dict[int, int] = {}
-        for v in order:
+        for v in self._order:
             if sub.mask >> v & 1:
                 top[v] = top.get(parent[v], v)
                 parts[top[v]] = parts.get(top[v], 0) | 1 << v
@@ -383,27 +378,11 @@ class CurveTree:
 
     # -- the rooted tail index -------------------------------------------
 
-    @cached_property
-    def _rooted(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """BFS order and parent positions from component 0 (whose parent is -1)."""
-        neighbors: list[list[int]] = [[] for _ in self.ids]
-        for _, a, b in self._edges:
-            neighbors[a].append(b)
-            neighbors[b].append(a)
-        parent = [-1] * len(self.ids)
-        order = [0]
-        for v in order:
-            for w in neighbors[v]:
-                if w != parent[v]:
-                    parent[w] = v
-                    order.append(w)
-        return tuple(order), tuple(parent)
-
     def _below(self, values: Sequence[int]) -> list[int]:
         """Per component v: the sum of ``values`` over the subtree rooted at v."""
-        order, parent = self._rooted
+        parent = self._parent
         below = list(values)
-        for v in reversed(order[1:]):
+        for v in reversed(self._order[1:]):
             below[parent[v]] += below[v]
         return below
 
@@ -411,7 +390,7 @@ class CurveTree:
     def _tail_roots(self) -> tuple[tuple[int, bool], ...]:
         """Per tail: its node's subtree root v, and whether the tail is below v."""
         n = len(self.ids)
-        parent = self._rooted[1]
+        parent = self._parent
         sizes = self._below([1] * n)
         out: list[tuple[int, bool]] = []
         for _, a, b in self._edges:
@@ -449,20 +428,14 @@ class CurveTree:
         """Genus of each tail, aligned with :attr:`tails`."""
         return self.tail_sums(self._genera)
 
-    @cached_property
-    def _tail_pairs(self) -> dict[str, tuple[Tail, Tail]]:
-        tails = self.tails
-        return {tails[i].node: (tails[i], tails[i + 1]) for i in range(0, len(tails), 2)}
-
     def tails_at(self, node_id: str) -> tuple[Tail, Tail]:
-        if node_id not in self._tail_pairs:
-            raise KeyError(f"unknown node '{node_id}'")
-        return self._tail_pairs[node_id]
+        i = 2 * self._edge(node_id)
+        return self.tails[i], self.tails[i + 1]
 
     @cached_property
     def tail_end_positions(self) -> tuple[tuple[int, int], ...]:
         """Canonical positions of each tail's node ends, inside then outside."""
-        parent = self._rooted[1]
+        parent = self._parent
         return tuple((v, parent[v]) if below else (parent[v], v) for v, below in self._tail_roots)
 
     def tail_ends(self, tail: Tail) -> tuple[str, str]:
@@ -472,10 +445,8 @@ class CurveTree:
 
     def avoids(self, component_id: str) -> tuple[bool, ...]:
         """Whether each tail avoids the component, aligned with :attr:`tails`."""
-        return tuple(
-            not inside
-            for inside in self.tail_sums(self.unit_multidegree(component_id).degrees)
-        )
+        unit = self.unit_multidegree(component_id).degrees
+        return tuple(not inside for inside in self.tail_sums(unit))
 
     def twist(self, md: Multidegree, counts: Sequence[int]) -> Multidegree:
         """Twist by O(-Z) counts[i] times for the i-th tail Z of :attr:`tails`.
@@ -495,14 +466,11 @@ class CurveTree:
         """Build a multidegree from an id->degree mapping or a canonical tuple."""
         if isinstance(spec, Mapping):
             for cid in spec:
-                if cid not in self._index:
-                    raise KeyError(f"unknown component '{cid}'")
+                self._component(cid)
             return Multidegree(tuple(spec.get(cid, 0) for cid in self.ids))
         degrees = tuple(spec)
         if len(degrees) != len(self.ids):
-            raise ValueError(
-                f"expected {len(self.ids)} degrees, got {len(degrees)}"
-            )
+            raise ValueError(f"expected {len(self.ids)} degrees, got {len(degrees)}")
         return Multidegree(degrees)
 
     def zero_multidegree(self) -> Multidegree:
@@ -510,7 +478,7 @@ class CurveTree:
 
     def unit_multidegree(self, component_id: str) -> Multidegree:
         degrees = [0] * len(self.ids)
-        degrees[self._index[component_id]] = 1
+        degrees[self._component(component_id)] = 1
         return Multidegree(tuple(degrees))
 
     def multidegree_as_dict(self, md: Multidegree) -> dict[str, int]:

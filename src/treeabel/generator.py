@@ -4,8 +4,8 @@ Generation draws a random tree shape (Prufer decoding), sprinkles the
 genus over the vertices, then repairs stability by contracting genus-0
 vertices of degree below three into a neighbour.  Uniformity over
 isomorphism classes is a non-goal; determinism and coverage are the point,
-so all randomness comes from one seeded generator and the repair scan
-order is fixed.
+so all randomness comes from one seeded generator and the repair always
+contracts the smallest bad vertex first.
 """
 
 from __future__ import annotations
@@ -72,14 +72,15 @@ def _random_piece(
         adjacency[a].add(b)
         adjacency[b].add(a)
 
-    alive = set(range(n))
-    while True:
-        bad = next(
-            (v for v in sorted(alive) if genera[v] == 0 and len(adjacency[v]) < 3),
-            None,
-        )
-        if bad is None:
-            break
+    # Contracting a bad vertex into its neighbour can turn only that
+    # neighbour bad, so a min-heap of candidates, checked when popped, always
+    # yields the smallest bad vertex.  Listed in ascending order, it starts
+    # out as a heap.
+    candidates = [v for v in range(n) if genera[v] == 0 and len(adjacency[v]) < 3]
+    while candidates:
+        bad = heapq.heappop(candidates)
+        if bad not in adjacency or genera[bad] or len(adjacency[bad]) >= 3:
+            continue
         # genus >= 1 guarantees a lone vertex is never genus 0
         target = rng.choice(sorted(adjacency[bad]))
         for other in adjacency[bad] - {target}:
@@ -89,10 +90,11 @@ def _random_piece(
         adjacency[target].discard(bad)
         genera[target] += genera[bad]
         del adjacency[bad]
-        alive.remove(bad)
+        heapq.heappush(candidates, target)
 
-    relabel = {old: new for new, old in enumerate(sorted(alive))}
-    out_genera = [genera[old] for old in sorted(alive)]
+    survivors = sorted(adjacency)
+    relabel = {old: new for new, old in enumerate(survivors)}
+    out_genera = [genera[old] for old in survivors]
     out_edges = sorted(
         (min(relabel[a], relabel[b]), max(relabel[a], relabel[b]))
         for a in adjacency

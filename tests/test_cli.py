@@ -300,6 +300,18 @@ class TestErrors:
         assert run(capsys, "abel", two22_file, "--points", "C1:p,,C1:p,C2:q")[0] == 0
         assert run(capsys, "abel", two22_file, "--points", "C1:p,C1:p,C2:q,C2:q")[0] == 1
 
+    @pytest.mark.parametrize("flag", ["--genus", "--max-components"])
+    def test_gen_size_over_the_limit(self, capsys, monkeypatch, flag):
+        def gen(size):
+            sizes = {"--genus": "3", "--max-components": "3", flag: str(size)}
+            return run(capsys, "gen", "--seed", "0", *(x for pair in sizes.items() for x in pair))
+
+        limit = cli.MAX_GEN_SIZE
+        assert gen(limit + 1) == (1, "", f"error: {flag} {limit + 1} exceeds the limit of {limit}\n")
+        monkeypatch.setattr(cli, "MAX_GEN_SIZE", 4)
+        assert gen(4)[0] == 0
+        assert gen(5)[:2] == (1, "")
+
     @pytest.mark.parametrize(
         "component, node, named",
         [

@@ -161,3 +161,37 @@ class TestCliContract:
             expected = run(capsys, [argv[0], canonical, *argv[1:]])
             assert expected[0] == 0
             assert run(capsys, [argv[0], permuted, *argv[1:]]) == expected
+
+    @cli_settings
+    @given(spec=specs, data=st.data())
+    def test_order_preserving_rename_renames_the_output(self, capsys, tmp_path, spec, data):
+        payload = random_tree(spec).to_data()
+        # letters only: no id is `node` or holds the `:`, `,` and `@` separators
+        names = st.text(alphabet="ABCxyz", min_size=1, max_size=4)
+        renamed = {}
+        for kind in ("components", "nodes"):
+            old = sorted(entry["id"] for entry in payload[kind])
+            new = data.draw(st.sets(names, min_size=len(old), max_size=len(old)), label=kind)
+            renamed.update(zip(old, sorted(new)))
+
+        def rename(value):
+            if isinstance(value, str):
+                return "@".join(renamed.get(part, part) for part in value.split("@"))
+            if isinstance(value, list):
+                return [rename(item) for item in value]
+            if isinstance(value, dict):
+                return {rename(key): rename(item) for key, item in value.items()}
+            return value
+
+        points = [["C1", "p"], ["C1", "q"]] + [["node", n["id"]] for n in payload["nodes"][:1]]
+        outputs: dict[str, list] = {}
+        for i, (tree, pts) in enumerate([(payload, points), (rename(payload), rename(points))]):
+            file = write(tmp_path / f"tree{i}.json", tree)
+            token = ",".join(f"{head}:{rest}" for head, rest in pts)
+            for argv in (["classify"], ["tails"], ["eseq", "--dmax", "6"], ["abel", "--points"]):
+                argv += [token] if argv[0] == "abel" else []
+                code, out, err = run(capsys, [argv[0], file, *argv[1:]])
+                assert (code, err) == (0, "")
+                outputs.setdefault(argv[0], []).append(json.loads(out))
+        for original, relabelled in outputs.values():
+            assert relabelled == rename(original)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import oracles
+import treeabel
 from treeabel import CurveTree, InvalidTreeError, Subcurve, curves, validate
 
 
@@ -43,6 +44,15 @@ class TestValidate:
         )
         assert not report.ok
         assert any("not a tree" in v for v in report.violations)
+
+    def test_cycle_beside_an_isolated_component_is_disconnected(self):
+        report = validate(
+            data(
+                [("C1", 2), ("C2", 2), ("C3", 2), ("C4", 2)],
+                [("n1", "C1", "C2"), ("n2", "C2", "C3"), ("n3", "C3", "C1")],
+            )
+        )
+        assert report.violations == ("not a tree: graph is disconnected",)
 
     def test_self_loop_rejected(self):
         report = validate(data([("C1", 2), ("C2", 2)], [("n", "C1", "C1")]))
@@ -162,7 +172,9 @@ def two_pass_violations(payload) -> tuple[str, ...]:
     violations, components, nodes = curves._shape_violations(payload)
     if violations:
         return tuple(violations)
-    return tuple(curves._structural_violations(components, nodes))
+    violations, index = curves._index_structure(components, nodes)
+    assert bool(index) != bool(violations)
+    return tuple(violations)
 
 
 class TestOneParse:
@@ -193,12 +205,60 @@ class TestOneParse:
 
         monkeypatch.setattr(curves, "_shape_violations", counted("shape", curves._shape_violations))
         monkeypatch.setattr(
-            curves, "_structural_violations", counted("structure", curves._structural_violations)
+            curves, "_index_structure", counted("structure", curves._index_structure)
         )
-        assert CurveTree.from_data(chain1111.to_data()) == chain1111
+        tree = CurveTree.from_data(chain1111.to_data())
+        assert tree == chain1111
+        assert calls == {"shape": 1, "structure": 1}
+        # the rooted index is in place before anything asks for it
+        assert tree.__dict__.keys() >= {"ids", "_edges", "_edge_position", "_order", "_parent"}
+        assert tree._order == (0, 1, 2, 3) and tree._parent == (-1, 0, 1, 2)
+        assert "tails" not in tree.__dict__
+        assert len(tree.tails) == 6 and tree.tails_at("n2") == tree.tails[2:4]
         assert calls == {"shape": 1, "structure": 1}
         assert validate(chain1111.to_data()).ok
         assert calls == {"shape": 2, "structure": 2}
+
+    def test_index_matches_the_listing(self, corpus500):
+        for tree in corpus500[:50]:
+            assert tree.ids == tuple(sorted(c.id for c in tree.components))
+            assert [tree.genus_of(c.id) for c in tree.components] == [
+                c.genus for c in tree.components
+            ]
+            assert [tree.node_ends(node.id) for node in tree.nodes] == [
+                node.ends for node in tree.nodes
+            ]
+            order, parent = tree._order, tree._parent
+            assert sorted(order) == list(range(len(tree.ids))) and parent[order[0]] == -1
+            seen = {order[0]}
+            for v in order[1:]:
+                assert parent[v] in seen
+                seen.add(v)
+            edges = {frozenset(tree.node_ends(node.id)) for node in tree.nodes}
+            assert {frozenset((tree.ids[v], tree.ids[parent[v]])) for v in order[1:]} == edges
+
+
+UNKNOWN_COMPONENT_CALLS = {
+    "genus_of": lambda tree: tree.genus_of("ZZ"),
+    "contains": lambda tree: tree.contains(tree.full, "ZZ"),
+    "unit_multidegree": lambda tree: tree.unit_multidegree("ZZ"),
+    "avoids": lambda tree: tree.avoids("ZZ"),
+    "e1": lambda tree: treeabel.e1(tree, "ZZ"),
+    "e_sequence": lambda tree: treeabel.e_sequence(tree, "ZZ", 3),
+    "abel_d": lambda tree: treeabel.abel_d(tree, "ZZ", [treeabel.SmoothPoint("C2", "p")]),
+    "abel1": lambda tree: treeabel.abel1(tree, "ZZ", treeabel.SmoothPoint("C2", "p")),
+    "small_tails": lambda tree: treeabel.small_tails(tree, "ZZ"),
+    "is_quasistable": lambda tree: treeabel.is_quasistable(tree, tree.zero_multidegree(), "ZZ"),
+    "enumerate_quasistable": lambda tree: treeabel.enumerate_quasistable(tree, 2, "ZZ"),
+    "twist_step": lambda tree: treeabel.twist_step(tree, tree.zero_multidegree(), "ZZ"),
+}
+
+
+@pytest.mark.parametrize("call", UNKNOWN_COMPONENT_CALLS.values(), ids=UNKNOWN_COMPONENT_CALLS)
+def test_unknown_component_is_named(call, chain111):
+    with pytest.raises(KeyError) as err:
+        call(chain111)
+    assert err.value.args == ("unknown component 'ZZ'",)
 
 
 class TestGenus:

@@ -3,7 +3,8 @@
 A chain of 1,001 components and a 40-leaf star on a genus-0 hub.  The star
 has 2^40 connected subcurves, so only per-node work can finish on it; the
 chain checks that nothing is quadratic or worse in the number of nodes, and
-carries 200 degrees of e_d and a 200-point Abel image.
+carries 200 degrees of e_d and a 200-point Abel image.  The generator's
+stability repair runs on a 10^5-vertex random shape.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import pytest
 
 from treeabel import (
     CurveTree,
+    GenSpec,
     NodePoint,
     SmoothPoint,
     abel_d,
@@ -22,6 +24,7 @@ from treeabel import (
     enumerate_quasistable,
     is_quasistable,
     is_semistable,
+    random_tree,
 )
 
 
@@ -95,3 +98,9 @@ def test_abel_d_on_200_points(chain1001):
     )
     image = abel_d(chain1001, "C0500", points)
     assert image.multidegree(chain1001) == enumerate_quasistable(chain1001, 200, "C0500")[0]
+
+
+def test_generator_repairs_a_100k_vertex_shape():
+    # seed 26 draws a shape of 97,949 vertices, nearly all contracted away
+    tree = random_tree(GenSpec(genus=40, max_components=100_000, seed=26))
+    assert tree.genus == 40 and len(tree.ids) <= 2 * 40 - 2
