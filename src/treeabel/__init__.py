@@ -6,24 +6,14 @@ exact integer arithmetic, builds the canonical quasistable multidegree
 sequence of the Abel maps, evaluates pointwise images as formal
 per-component divisors, and compares the two constructions available on
 half-genus curves.
+
+Importing the package loads ``curves`` and ``classify``; the layers
+``stability``, ``abel``, ``compare`` and ``generator`` load on first access
+to one of their names, so a CLI command imports only the layers it runs.
 """
 
-from .abel import (
-    Branch,
-    DivisorRep,
-    NodePoint,
-    Point,
-    SmoothPoint,
-    TwistDelta,
-    abel1,
-    abel_d,
-    big_tails,
-    e1,
-    e_sequence,
-    multidegree_of,
-    twist_delta,
-    twist_step,
-)
+import importlib
+
 from .classify import (
     Classification,
     central_components,
@@ -34,7 +24,6 @@ from .classify import (
     small_tail_at_node,
     small_tails,
 )
-from .compare import ComparisonReport, compare_principals, multidegree_difference_support
 from .curves import (
     Component,
     CurveTree,
@@ -46,18 +35,33 @@ from .curves import (
     ValidationReport,
     validate,
 )
-from .generator import GenSpec, UnsatisfiableSpecError, random_tree
-from .stability import (
-    Polarization,
-    StabilityVerdict,
-    chi_form_semistable_at,
-    enumerate_quasistable,
-    enumerate_semistable,
-    is_quasistable,
-    is_semistable,
-    is_semistable_at,
-    polarization,
-)
+
+# Public names of the layers loaded on first access, each mapped to its module.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("abel", "Branch DivisorRep NodePoint Point SmoothPoint TwistDelta abel1 abel_d "
+         "big_tails e1 e_sequence multidegree_of twist_delta twist_step"),
+        ("compare", "ComparisonReport compare_principals multidegree_difference_support"),
+        ("generator", "GenSpec UnsatisfiableSpecError random_tree"),
+        ("stability", "Polarization StabilityVerdict chi_form_semistable_at enumerate_quasistable "
+         "enumerate_semistable is_quasistable is_semistable is_semistable_at polarization"),
+    )
+    for name in names.split()
+}
+
+
+def __getattr__(name: str) -> object:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

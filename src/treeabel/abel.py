@@ -34,8 +34,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 from .classify import is_small_tail, small_tail_at_node, small_tails
-from .curves import CurveTree, Multidegree, Tail
-from .stability import _tail_window
+from .curves import CurveTree, Multidegree, Tail, _tail_window
 
 
 @dataclass(frozen=True)

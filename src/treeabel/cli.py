@@ -7,24 +7,56 @@ precondition, unreadable file), 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from .abel import DivisorRep, NodePoint, Point, SmoothPoint, abel_d, e_sequence
 from .classify import classify
-from .compare import compare_principals
 from .curves import CurveTree, Tail, validate
-from .generator import GenSpec, random_tree
-from .stability import count_semistable, enumerate_quasistable, enumerate_semistable
+
+if TYPE_CHECKING:
+    from .abel import DivisorRep, Point
+
+# Names from the layers a command loads with _load once its tree parses, each
+# mapped to its module.  They are bound as globals of this module, so a name
+# bound first (by a test's monkeypatch or a tracer's wrapper) is the one main
+# calls.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("abel", "NodePoint SmoothPoint abel_d e_sequence"),
+        ("compare", "compare_principals"),
+        ("generator", "GenSpec random_tree"),
+        ("stability", "count_semistable enumerate_quasistable enumerate_semistable"),
+    )
+    for name in names.split()
+}
+
+
+def _load(layer: str) -> None:
+    module = importlib.import_module(f".{layer}", __package__)
+    for name, owner in _LAZY.items():
+        if owner == layer:
+            globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str) -> object:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_LAZY[name])
+    return globals()[name]
 
 
 # Fixed limits on inputs whose cost grows without bound: eseq and compare do
 # O(dmax * components) work, abel keeps every point, enumerate emits up to
-# two multidegrees per node, and gen draws up to --max-components vertices
-# and one random choice per unit of --genus.
+# two multidegrees per node, tails prints n * (n - 1) ids on n components, and
+# gen draws up to --max-components vertices and one random choice per unit of
+# --genus.
 MAX_DEGREE_WORK = 10**6
 MAX_POINTS = 10**5
 MAX_MULTIDEGREES = 10**5
+MAX_TAIL_IDS = 10**7
 MAX_GEN_SIZE = 10**5
 
 
@@ -42,12 +74,14 @@ def _reject_duplicates(pairs: list[tuple[str, object]]) -> dict[str, object]:
 
 
 def _read_json(path: str) -> object:
-    """Parse a JSON file, rejecting duplicate keys and too-deep nesting."""
+    """Parse a JSON file, rejecting duplicate keys and too-deep nesting; each error names it."""
     with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle, object_pairs_hook=_reject_duplicates)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_tree(path: str) -> CurveTree:
@@ -143,12 +177,19 @@ def _tail_payload(tree: CurveTree, tail: Tail) -> dict[str, object]:
 
 def _cmd_tails(args: argparse.Namespace) -> int:
     tree = _load_tree(args.file)
+    # each node's two tails list every component once
+    n = len(tree.ids)
+    if n * (n - 1) > MAX_TAIL_IDS:
+        raise ValueError(
+            f"{n} components give {n * (n - 1)} tail ids, over the limit of {MAX_TAIL_IDS}"
+        )
     _emit([_tail_payload(tree, tail) for tail in tree.tails])
     return 0
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     tree = _load_tree(args.file)
+    _load("stability")
     component = classify(tree).principal if args.principal else args.quasistable
     if component is None:
         count = count_semistable(tree, args.degree)
@@ -170,6 +211,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_eseq(args: argparse.Namespace) -> int:
     tree = _load_tree(args.file)
+    _load("abel")
     _check_dmax(tree, args.dmax)
     xpr = _resolve_principal(tree, args.principal_override, args.force)
     seq = e_sequence(tree, xpr, args.dmax)
@@ -179,6 +221,7 @@ def _cmd_eseq(args: argparse.Namespace) -> int:
 
 def _cmd_abel(args: argparse.Namespace) -> int:
     tree = _load_tree(args.file)
+    _load("abel")
     _check_addressable(tree)
     xpr = _resolve_principal(tree, args.principal_override, args.force)
     points = _parse_points(tree, args.points)
@@ -194,6 +237,7 @@ def _cmd_abel(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     tree = _load_tree(args.file)
+    _load("compare")
     _check_dmax(tree, args.dmax)
     report = compare_principals(tree, args.dmax)
     _emit(
@@ -215,6 +259,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     for flag, value in (("--genus", args.genus), ("--max-components", args.max_components)):
         if value > MAX_GEN_SIZE:
             raise ValueError(f"{flag} {value} exceeds the limit of {MAX_GEN_SIZE}")
+    _load("generator")
     spec = GenSpec(
         genus=args.genus,
         max_components=args.max_components,

@@ -256,6 +256,16 @@ def validate(data: object) -> ValidationReport:
     return ValidationReport()
 
 
+def _tail_window(d: int, genus: int, tail_genus: int) -> range:
+    """Semistable degrees t of a tail: |(4g-4) t - 2 d omega_Z| <= 2g-2.
+
+    One or two integers; a tail avoiding X takes the lowest when quasistable.
+    """
+    h = genus - 1
+    omega = 2 * tail_genus - 1
+    return range(-(-(d * omega - h) // (2 * h)), (d * omega + h) // (2 * h) + 1)
+
+
 @dataclass(frozen=True)
 class CurveTree:
     """Stable curve of compact type: a genus-weighted tree.

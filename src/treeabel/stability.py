@@ -35,7 +35,7 @@ from itertools import product
 from math import prod
 from typing import Sequence
 
-from .curves import CurveTree, Multidegree, Subcurve
+from .curves import CurveTree, Multidegree, Subcurve, _tail_window
 
 
 @dataclass(frozen=True)
@@ -148,16 +148,6 @@ def is_quasistable(tree: CurveTree, md: Multidegree, component_id: str) -> bool:
         -bound <= slack < bound if away else -bound < slack <= bound
         for slack, away in zip(slacks, avoids)
     )
-
-
-def _tail_window(d: int, genus: int, tail_genus: int) -> range:
-    """Semistable degrees t of a tail: |(4g-4) t - 2 d omega_Z| <= 2g-2.
-
-    One or two integers; a tail avoiding X takes the lowest when quasistable.
-    """
-    h = genus - 1
-    omega = 2 * tail_genus - 1
-    return range(-(-(d * omega - h) // (2 * h)), (d * omega + h) // (2 * h) + 1)
 
 
 def _semistable_choices(tree: CurveTree, d: int) -> list[Sequence[int]]:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from treeabel import cli
+from treeabel import CurveTree, cli
 from treeabel.cli import main
 
 
@@ -243,6 +243,33 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "nested too deeply" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"components": [{"id": "C1", "genus": 2}', "Expecting ',' delimiter"),
+            ('{"nodes": [], "nodes": []}', "duplicate key 'nodes' in a JSON object"),
+        ],
+    )
+    def test_json_errors_name_the_file(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: {message}")
+
+    def test_tail_id_limit_is_counted_before_the_tails(self, capsys, monkeypatch, chain111_file):
+        # 3 components: two tails at each of 2 nodes, 6 ids in all
+        monkeypatch.setattr(cli, "MAX_TAIL_IDS", 6)
+        code, out, _ = run(capsys, "tails", chain111_file)
+        assert code == 0 and sum(len(tail["side"]) for tail in json.loads(out)) == 6
+        monkeypatch.setattr(cli, "MAX_TAIL_IDS", 5)
+        monkeypatch.setattr(CurveTree, "tails", property(lambda tree: pytest.fail("tails read")))
+        assert run(capsys, "tails", chain111_file) == (
+            1,
+            "",
+            "error: 3 components give 6 tail ids, over the limit of 5\n",
+        )
 
     @pytest.mark.parametrize("command", ["eseq", "compare"])
     def test_dmax_over_the_cost_limit(self, capsys, two22_file, command):
