@@ -30,61 +30,74 @@ their coefficients agree.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from collections.abc import Mapping, Sequence
 
 from .classify import is_small_tail, small_tail_at_node, small_tails
-from .curves import CurveTree, Multidegree, Tail, _tail_window
+from .curves import CurveTree, Multidegree, Tail, _tail_window, _Value
 
 
-@dataclass(frozen=True)
-class SmoothPoint:
+class SmoothPoint(_Value):
     """A labelled smooth point on a component; doubles as a divisor symbol."""
 
-    component: str
-    label: str
+    __match_args__ = ("component", "label")
+
+    def __init__(self, component: str, label: str):
+        self.__dict__.update(component=component, label=label)
 
 
-@dataclass(frozen=True)
-class NodePoint:
-    node: str
+class NodePoint(_Value):
+    __match_args__ = ("node",)
+
+    def __init__(self, node: str):
+        self.__dict__["node"] = node
 
 
-Point = Union[SmoothPoint, NodePoint]
+Point = SmoothPoint | NodePoint
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(_Value):
     """Divisor symbol for one side of a node: the branch of n on a component."""
 
-    node: str
-    component: str
+    __match_args__ = ("node", "component")
+
+    def __init__(self, node: str, component: str):
+        self.__dict__.update(node=node, component=component)
 
 
-Symbol = Union[SmoothPoint, Branch]
+Symbol = SmoothPoint | Branch
 
 
 def _symbol_key(sym: Symbol) -> tuple[str, int, str]:
+    """(component, 0, label) for a smooth point, (component, 1, node) for a branch."""
     if isinstance(sym, SmoothPoint):
         return (sym.component, 0, sym.label)
     return (sym.component, 1, sym.node)
 
 
-@dataclass(frozen=True)
-class DivisorRep:
+def _divisor(acc: Mapping[tuple[str, int, str], int]) -> DivisorRep:
+    """The divisor with coefficients ``acc`` on symbol keys, symbols built only here."""
+    items = sorted((key, c) for key, c in acc.items() if c != 0)
+    return DivisorRep(tuple(
+        (SmoothPoint(cid, name) if kind == 0 else Branch(name, cid), c)
+        for (cid, kind, name), c in items
+    ))
+
+
+class DivisorRep(_Value):
     """Formal per-component divisor: integer coefficients on symbols.
 
     Zero coefficients are dropped and the symbols are kept sorted, so
-    dataclass equality is coefficient-wise equality.
+    equality is coefficient-wise equality.
     """
 
-    coeffs: tuple[tuple[Symbol, int], ...] = ()
+    __match_args__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[tuple[Symbol, int], ...] = ()):
+        self.__dict__["coeffs"] = coeffs
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[Symbol, int]) -> "DivisorRep":
-        items = [(sym, c) for sym, c in mapping.items() if c != 0]
-        items.sort(key=lambda item: _symbol_key(item[0]))
-        return cls(tuple(items))
+        return _divisor({_symbol_key(sym): c for sym, c in mapping.items()})
 
     def coefficient(self, sym: Symbol) -> int:
         for symbol, value in self.coeffs:
@@ -107,13 +120,13 @@ def multidegree_of(tree: CurveTree, rep: DivisorRep) -> Multidegree:
     return rep.multidegree(tree)
 
 
-@dataclass(frozen=True)
-class TwistDelta:
+class TwistDelta(_Value):
     """Degree and divisor change from restricting O(sign * Z) to the curve."""
 
-    tail: Tail
-    multidegree: Multidegree
-    divisor: DivisorRep
+    __match_args__ = ("tail", "multidegree", "divisor")
+
+    def __init__(self, tail: Tail, multidegree: Multidegree, divisor: DivisorRep):
+        self.__dict__.update(tail=tail, multidegree=multidegree, divisor=divisor)
 
 
 def twist_delta(tree: CurveTree, tail: Tail, sign: int) -> TwistDelta:
@@ -133,10 +146,12 @@ def twist_delta(tree: CurveTree, tail: Tail, sign: int) -> TwistDelta:
     return TwistDelta(tail, md, rep)
 
 
-def _add_twist(acc: dict[Symbol, int], node: str, inside: str, outside: str, count: int) -> None:
-    """Add ``count`` times the divisor of the twist by O(-Z) to ``acc``."""
-    for sym, c in ((Branch(node, inside), count), (Branch(node, outside), -count)):
-        acc[sym] = acc.get(sym, 0) + c
+def _add_twist(
+    acc: dict[tuple[str, int, str], int], node: str, inside: str, outside: str, count: int
+) -> None:
+    """Add ``count`` times the divisor of the twist by O(-Z) to ``acc``, on symbol keys."""
+    for key, c in (((inside, 1, node), count), ((outside, 1, node), -count)):
+        acc[key] = acc.get(key, 0) + c
 
 
 def e1(tree: CurveTree, xpr: str) -> Multidegree:
@@ -190,7 +205,7 @@ def e_sequence(tree: CurveTree, xpr: str, dmax: int) -> tuple[Multidegree, ...]:
             if d > dmax:
                 break
             rises[d].append(ends)
-    x = tree.ids.index(xpr)
+    x = tree._component(xpr)
     degrees = [0] * len(tree.ids)
     seq = []
     for d in range(1, dmax + 1):
@@ -230,16 +245,15 @@ def abel1(tree: CurveTree, xpr: str, point: Point) -> DivisorRep:
     point.  The multidegree of the result is e_1 for every point.
     """
     _check_point(tree, point)
-    acc: dict[Symbol, int] = {}
     if isinstance(point, SmoothPoint):
-        acc[point] = 1
+        acc = {_symbol_key(point): 1}
     else:
         inside = tree.tail_ends(small_tail_at_node(tree, xpr, point.node))[0]
-        acc[Branch(point.node, inside)] = 1
+        acc = {(inside, 1, point.node): 1}
     for tail in small_tails(tree, xpr):
         if _point_in_tail(tree, point, tail):
             _add_twist(acc, tail.node, *tree.tail_ends(tail), -1)
-    return DivisorRep.from_mapping(acc)
+    return _divisor(acc)
 
 
 def abel_d(tree: CurveTree, xpr: str, config: Sequence[Point]) -> DivisorRep:
@@ -264,11 +278,12 @@ def abel_d(tree: CurveTree, xpr: str, config: Sequence[Point]) -> DivisorRep:
         for tail, ends, is_small in zip(tails, tree.tail_end_positions, small)
         if is_small
     }
-    symbols = [
-        p if isinstance(p, SmoothPoint) else Branch(p.node, small_ends[p.node]) for p in config
+    keys = [
+        (p.component, 0, p.label) if isinstance(p, SmoothPoint) else (small_ends[p.node], 1, p.node)
+        for p in config
     ]
-    acc: dict[Symbol, int] = Counter(symbols)
-    held = tree.tail_sums(tree.multidegree(Counter(sym.component for sym in symbols)).degrees)
+    acc: dict[tuple[str, int, str], int] = Counter(keys)
+    held = tree.tail_sums(tree.multidegree(Counter(key[0] for key in keys)).degrees)
     for tail, (inside, outside), gz, away, is_small, c in zip(
         tails, tree.tail_end_positions, tree.tail_genera, avoids, small, held
     ):
@@ -276,4 +291,4 @@ def abel_d(tree: CurveTree, xpr: str, config: Sequence[Point]) -> DivisorRep:
         count = (min(d - 1, _tail_window(d, g, gz)[0]) if away else 0) - (c if is_small else 0)
         if count:
             _add_twist(acc, tail.node, ids[inside], ids[outside], count)
-    return DivisorRep.from_mapping(acc)
+    return _divisor(acc)

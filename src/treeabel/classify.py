@@ -15,17 +15,21 @@ semicentral components exist, joined by a node.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
-from .curves import CurveTree, Tail
+from .curves import CurveTree, Tail, _Value
 
 
-@dataclass(frozen=True)
-class Classification:
-    central: tuple[str, ...]
-    semicentral: tuple[str, ...]
-    in_delta_half: bool
-    principal: str
+class Classification(_Value):
+    __match_args__ = ("central", "semicentral", "in_delta_half", "principal")
+
+    def __init__(
+        self, central: tuple[str, ...], semicentral: tuple[str, ...], in_delta_half: bool,
+        principal: str,
+    ):
+        self.__dict__.update(
+            central=central, semicentral=semicentral, in_delta_half=in_delta_half,
+            principal=principal,
+        )
 
 
 def _internal_error(tree: CurveTree, detail: str) -> RuntimeError:
@@ -109,10 +113,11 @@ def small_tails(tree: CurveTree, xpr: str) -> tuple[Tail, ...]:
 
 def small_tail_at_node(tree: CurveTree, xpr: str, node_id: str) -> Tail:
     """The unique small tail among the two tails at a node."""
+    i = 2 * tree._edge(node_id)
     candidates = [
         t
-        for t in tree.tails_at(node_id)
-        if is_small_tail(tree.genus, tree.subcurve_genus(t.side), not tree.contains(t.side, xpr))
+        for t, gz in zip(tree.tails[i : i + 2], tree.tail_genera[i : i + 2])
+        if is_small_tail(tree.genus, gz, not tree.contains(t.side, xpr))
     ]
     if len(candidates) != 1:
         raise _internal_error(

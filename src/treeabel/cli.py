@@ -10,11 +10,11 @@ import argparse
 import importlib
 import json
 import sys
-from typing import TYPE_CHECKING
 
 from .classify import classify
 from .curves import CurveTree, Tail, validate
 
+TYPE_CHECKING = False  # type checkers read it as True; importing typing would cost start-up
 if TYPE_CHECKING:
     from .abel import DivisorRep, Point
 

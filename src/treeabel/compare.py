@@ -21,23 +21,22 @@ error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .abel import e_sequence, twist_delta
 from .classify import _internal_error, classify
-from .curves import CurveTree, Multidegree, Tail
+from .curves import CurveTree, Multidegree, Tail, _Value
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    x1: str
-    x2: str
-    y1: Tail
-    y2: Tail
-    eta: tuple[int, ...]
-    ok: bool
-    e1_sequence: tuple[Multidegree, ...]
-    e2_sequence: tuple[Multidegree, ...]
+class ComparisonReport(_Value):
+    __match_args__ = ("x1", "x2", "y1", "y2", "eta", "ok", "e1_sequence", "e2_sequence")
+
+    def __init__(
+        self, x1: str, x2: str, y1: Tail, y2: Tail, eta: tuple[int, ...], ok: bool,
+        e1_sequence: tuple[Multidegree, ...], e2_sequence: tuple[Multidegree, ...],
+    ):
+        self.__dict__.update(
+            x1=x1, x2=x2, y1=y1, y2=y2, eta=eta, ok=ok,
+            e1_sequence=e1_sequence, e2_sequence=e2_sequence,
+        )
 
 
 def _half_genus_tail(tree: CurveTree, component_id: str) -> Tail:
@@ -46,7 +45,7 @@ def _half_genus_tail(tree: CurveTree, component_id: str) -> Tail:
     Those parts are the tails at the component's own nodes, on the far side.
     """
     g = tree.genus
-    x = tree.ids.index(component_id)
+    x = tree._component(component_id)
     matches = [
         tail
         for tail, (_, outside), genus in zip(tree.tails, tree.tail_end_positions, tree.tail_genera)

@@ -19,16 +19,48 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class _Value:
+    """Immutable value with dataclass-style ``==``, hash and repr.
+
+    A subclass lists its fields as ``__match_args__``, and its ``__init__``
+    writes them, in that order, into the instance ``__dict__``, which holds
+    nothing else.  So instances of one class are equal when their dicts are,
+    instances of different classes never are, and ``hash(x)`` is the hash
+    of the tuple of its fields.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ValidationReport(_Value):
     """Outcome of checking a tree description against all invariants."""
 
-    violations: tuple[str, ...] = ()
+    __match_args__ = ("violations",)
+
+    def __init__(self, violations: tuple[str, ...] = ()):
+        self.__dict__["violations"] = violations
 
     @property
     def ok(self) -> bool:
@@ -43,38 +75,45 @@ class InvalidTreeError(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class Component:
-    id: str
-    genus: int
+class Component(_Value):
+    __match_args__ = ("id", "genus")
+
+    def __init__(self, id: str, genus: int):
+        self.__dict__.update(id=id, genus=genus)
 
 
-@dataclass(frozen=True)
-class Node:
-    id: str
-    ends: tuple[str, str]
+class Node(_Value):
+    __match_args__ = ("id", "ends")
+
+    def __init__(self, id: str, ends: tuple[str, str]):
+        self.__dict__.update(id=id, ends=ends)
 
 
-@dataclass(frozen=True)
-class Subcurve:
+class Subcurve(_Value):
     """Set of components, encoded as a bitmask in canonical order."""
 
-    mask: int
+    __match_args__ = ("mask",)
+
+    def __init__(self, mask: int):
+        self.__dict__["mask"] = mask
 
 
-@dataclass(frozen=True)
-class Tail:
+class Tail(_Value):
     """One side of a separating node (the side meets its complement once)."""
 
-    node: str
-    side: Subcurve
+    __match_args__ = ("node", "side")
+
+    def __init__(self, node: str, side: Subcurve):
+        self.__dict__.update(node=node, side=side)
 
 
-@dataclass(frozen=True)
-class Multidegree:
+class Multidegree(_Value):
     """Integer degree per component, in canonical component order."""
 
-    degrees: tuple[int, ...]
+    __match_args__ = ("degrees",)
+
+    def __init__(self, degrees: tuple[int, ...]):
+        self.__dict__["degrees"] = degrees
 
     @property
     def total(self) -> int:
@@ -266,25 +305,33 @@ def _tail_window(d: int, genus: int, tail_genus: int) -> range:
     return range(-(-(d * omega - h) // (2 * h)), (d * omega + h) // (2 * h) + 1)
 
 
-@dataclass(frozen=True)
-class CurveTree:
+class CurveTree(_Value):
     """Stable curve of compact type: a genus-weighted tree.
 
     Instances are immutable and always valid; construction raises
     :class:`InvalidTreeError` otherwise.  It also sets ``ids`` (component ids
     in canonical, lexicographic order), ``genus`` (the sum of the component
     genera; separating nodes add none) and ``full`` (the whole curve).
+    Its ``__dict__`` also holds the rooted index and cached tail data, so
+    equality and hash are its own, over ``components`` and ``nodes`` only.
     """
 
-    components: tuple[Component, ...]
-    nodes: tuple[Node, ...]
+    __match_args__ = ("components", "nodes")
 
-    def __post_init__(self) -> None:
-        violations, index = _index_structure(self.components, self.nodes)
+    def __init__(self, components: tuple[Component, ...], nodes: tuple[Node, ...]):
+        self.__dict__.update(components=components, nodes=nodes)
+        violations, index = _index_structure(components, nodes)
         if violations:
             raise InvalidTreeError(ValidationReport(tuple(violations)))
-        for name, value in index.items():
-            object.__setattr__(self, name, value)
+        self.__dict__.update(index)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.components, self.nodes) == (other.components, other.nodes)
+
+    def __hash__(self) -> int:
+        return hash((self.components, self.nodes))
 
     @classmethod
     def build(

@@ -12,21 +12,21 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 
-from .curves import CurveTree
+from .curves import CurveTree, _Value
 
 
 class UnsatisfiableSpecError(ValueError):
     """The requested combination of genus and shape cannot exist."""
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    genus: int
-    max_components: int
-    seed: int
-    force_delta_half: bool = False
+class GenSpec(_Value):
+    __match_args__ = ("genus", "max_components", "seed", "force_delta_half")
+
+    def __init__(self, genus: int, max_components: int, seed: int, force_delta_half: bool = False):
+        self.__dict__.update(
+            genus=genus, max_components=max_components, seed=seed, force_delta_half=force_delta_half
+        )
 
 
 def _prufer_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:

@@ -30,29 +30,30 @@ brute-force check over all subsets is kept as a test-only oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import product
 from math import prod
-from typing import Sequence
 
-from .curves import CurveTree, Multidegree, Subcurve, _tail_window
+from .curves import CurveTree, Multidegree, Subcurve, _tail_window, _Value
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(_Value):
     """``witnesses``: one (tail side, "upper" or "lower") pair per failing tail,
     in ``tails`` order; a failing node gives both its tails, on opposite sides."""
 
-    semistable: bool
-    witnesses: tuple[tuple[Subcurve, str], ...] = ()
+    __match_args__ = ("semistable", "witnesses")
+
+    def __init__(self, semistable: bool, witnesses: tuple[tuple[Subcurve, str], ...] = ()):
+        self.__dict__.update(semistable=semistable, witnesses=witnesses)
 
 
-@dataclass(frozen=True)
-class Polarization:
+class Polarization(_Value):
     """Rank and per-subcurve degree data of the canonical polarization."""
 
-    tree: CurveTree
-    d: int
+    __match_args__ = ("tree", "d")
+
+    def __init__(self, tree: CurveTree, d: int):
+        self.__dict__.update(tree=tree, d=d)
 
     @property
     def g(self) -> int:

@@ -1,9 +1,10 @@
 """Which layers each entry point loads, and the names that load the rest.
 
 A command imports only the modules it runs: ``treeabel`` loads ``curves``
-and ``classify``, and every other layer loads on first use.  The module
-sets are read in a fresh interpreter, since this test process has already
-imported every layer.
+and ``classify``, and every other layer loads on first use.  No command
+loads ``dataclasses`` (which pulls in ``inspect``) or, without ``site``,
+``typing``.  The module sets are read in a fresh interpreter, since this
+test process has already imported every layer.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ BASE = {"treeabel.cli", "treeabel.curves", "treeabel.classify"}
 GEN_ARGS = ["--genus", "3", "--max-components", "3", "--seed", "1"]
 
 
-def fresh(code: str) -> str:
+def fresh(code: str, *flags: str) -> str:
     """Run ``code`` in a new interpreter that imports treeabel from this tree; its stdout."""
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         env=env,
         capture_output=True,
         text=True,
@@ -43,16 +44,22 @@ def fresh(code: str) -> str:
     return proc.stdout
 
 
-def loaded_after(argv: list[str]) -> set[str]:
-    """The treeabel modules loaded once ``main(argv)`` returns, in a fresh interpreter."""
+def modules_after(argv: list[str], *flags: str) -> set[str]:
+    """The modules loaded once ``main(argv)`` returns, in a fresh interpreter."""
     out = fresh(
         "import contextlib, io, json, sys\n"
         "from treeabel.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         f"    main({argv!r})\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('treeabel.'))))\n"
+        "print(json.dumps(sorted(sys.modules)))\n",
+        *flags,
     )
     return set(json.loads(out))
+
+
+def loaded_after(argv: list[str]) -> set[str]:
+    """The treeabel modules loaded once ``main(argv)`` returns, in a fresh interpreter."""
+    return {m for m in modules_after(argv) if m.startswith("treeabel.")}
 
 
 @pytest.fixture
@@ -77,8 +84,17 @@ ROWS = [
 
 @pytest.mark.parametrize("argv, layers", ROWS, ids=[argv[0] for argv, _ in ROWS])
 def test_each_command_loads_only_its_layers(two22_file, argv, layers):
-    argv = [arg.format(file=two22_file) for arg in argv]
-    assert loaded_after(argv) == BASE | {f"treeabel.{layer}" for layer in layers}
+    loaded = modules_after([arg.format(file=two22_file) for arg in argv])
+    assert {m for m in loaded if m.startswith("treeabel.")} == BASE | {
+        f"treeabel.{layer}" for layer in layers
+    }
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in ROWS], ids=[argv[0] for argv, _ in ROWS])
+def test_no_command_loads_typing_without_site(two22_file, argv):
+    # with site, a .pth file may import typing before treeabel does
+    assert "typing" not in modules_after([arg.format(file=two22_file) for arg in argv], "-S")
 
 
 def test_invalid_file_loads_no_layer_beyond_the_parse(tmp_path):
