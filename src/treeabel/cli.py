@@ -92,8 +92,7 @@ def _resolve_principal(tree: CurveTree, override: str | None, force: bool) -> st
     report = classify(tree)
     if override is None:
         return report.principal
-    if override not in tree.ids:
-        raise ValueError(f"unknown component '{override}'")
+    tree._component(override)
     if override not in report.semicentral and not force:
         raise ValueError(
             f"component '{override}' is neither central nor semicentral; "
@@ -201,9 +200,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 f"over the limit of {MAX_MULTIDEGREES}"
             )
         result = enumerate_semistable(tree, args.degree)
-    elif component not in tree.ids:
-        raise ValueError(f"unknown component '{component}'")
     else:
+        tree._component(component)
         result = enumerate_quasistable(tree, args.degree, component)
     _emit([tree.multidegree_as_dict(md) for md in result])
     return 0

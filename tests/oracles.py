@@ -3,14 +3,17 @@
 Everything here works on plain ids, dicts and sets, with its own graph
 traversal, so the oracles share no code path with the library: the
 library checks the two tails at each node on a rooted index, the oracles
-check every subset the slow way.
+check every subset the slow way.  The one exception is
+:func:`eta_recursion`, the paper's construction of eta, which is built from
+the library's step-by-step referees (``e_sequence`` and ``big_tails``) to
+hold ``compare_principals``'s closed form eta_d = d mod 2 to it.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-from treeabel import CurveTree
+from treeabel import CurveTree, Tail, big_tails, e_sequence
 
 
 def tree_data(tree: CurveTree) -> tuple[dict[str, int], list[tuple[str, str]]]:
@@ -159,3 +162,41 @@ def connected_subcurves(tree: CurveTree) -> list:
     """Proper connected subcurves as library subcurves, by size then members."""
     genus_map, edges = tree_data(tree)
     return [tree.subcurve(members) for members in connected_subsets_bruteforce(genus_map, edges)]
+
+
+def half_genus_tail_scan(tree: CurveTree, component_id: str) -> Tail:
+    """The genus-g/2 tail whose node's outside end is the component.
+
+    Scans both sides of every node, each found by its own traversal, and
+    requires exactly one match.
+    """
+    genus_map, edges = tree_data(tree)
+    g = sum(genus_map.values())
+    matches = []
+    for node in tree.nodes:
+        parts = connected_parts([edge for edge in edges if edge != tuple(node.ends)], genus_map)
+        for inside, outside in (node.ends, node.ends[::-1]):
+            side = next(part for part in parts if inside in part)
+            if outside == component_id and 2 * sum(genus_map[c] for c in side) == g:
+                matches.append(Tail(node.id, tree.subcurve(side)))
+    assert len(matches) == 1, f"{len(matches)} genus-g/2 tails outside '{component_id}'"
+    return matches[0]
+
+
+def eta_recursion(tree: CurveTree, x1: str, x2: str, dmax: int) -> tuple[int, ...]:
+    """The paper's eta_1 .. eta_dmax for principal choices x1 and x2.
+
+    eta_1 = 1 and eta_{d+1} = eta_d + 1 - eps_{2,d} - eps_{1,d}, where
+    eps_{i,d} records whether the genus-g/2 tail avoiding x_i is big for
+    e_{i,d}.
+    """
+    y2 = half_genus_tail_scan(tree, x1)
+    y1 = half_genus_tail_scan(tree, x2)
+    seq1 = e_sequence(tree, x1, dmax)
+    seq2 = e_sequence(tree, x2, dmax)
+    eta = [1]
+    for d in range(1, dmax):
+        eps1 = y2 in big_tails(tree, seq1[d - 1], x1)
+        eps2 = y1 in big_tails(tree, seq2[d - 1], x2)
+        eta.append(eta[-1] + 1 - int(eps1) - int(eps2))
+    return tuple(eta)

@@ -126,11 +126,11 @@ def test_criterion_5_eta_bound(delta50):
         for d in range(1, 9):
             eta = report.eta[d - 1]
             diff = report.e1_sequence[d - 1] - report.e2_sequence[d - 1]
-            if eta not in (-1, 0, 1) or diff != step.scaled(eta):
+            if eta not in (-1, 0, 1) or eta != d % 2 or diff != step.scaled(eta):
                 ok = False
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 30.0
-    verdict(5, ok, f"eta in {{-1,0,1}} and twist relation on 50 half-genus trees ({elapsed:.2f}s)")
+    verdict(5, ok, f"eta_d = d mod 2 and twist relation on 50 half-genus trees ({elapsed:.2f}s)")
 
 
 def _sampled_triples(corpus, count):

@@ -207,8 +207,17 @@ class TestErrors:
         code, _, err = run(
             capsys, "enumerate", two22_file, "--degree", "1", "--quasistable", "C9"
         )
-        assert code == 1
-        assert "C9" in err
+        assert (code, err) == (1, "error: unknown component 'C9'\n")
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("eseq", ["--dmax", "2"]), ("abel", ["--points", "C1:p"])],
+    )
+    def test_unknown_principal_override(self, capsys, two22_file, command, extra):
+        code, out, err = run(
+            capsys, command, two22_file, *extra, "--principal-override", "C9"
+        )
+        assert (code, out, err) == (1, "", "error: unknown component 'C9'\n")
 
     def test_bad_point_token(self, capsys, two22_file):
         code, _, err = run(capsys, "abel", two22_file, "--points", "justalabel")

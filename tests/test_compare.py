@@ -4,16 +4,23 @@ import importlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from treeabel import (
+    ComparisonReport,
     CurveTree,
+    GenSpec,
     InvalidTreeError,
     TwistDelta,
     big_tails,
     compare_principals,
+    e_sequence,
     is_quasistable,
     is_semistable,
     multidegree_difference_support,
+    random_tree,
     twist_delta,
 )
 
@@ -106,15 +113,13 @@ class TestHalfGenusTail:
     def test_direct_eps_is_big_tail_membership(self, delta50):
         for tree in delta50:
             report = compare_principals(tree, 40)
-            eta = [1]
             for d in range(1, 41):
                 e1, e2 = report.e1_sequence[d - 1], report.e2_sequence[d - 1]
                 eps1 = report.y2 in big_tails(tree, e1, report.x1)
                 eps2 = report.y1 in big_tails(tree, e2, report.x2)
                 assert (2 * e1.on(report.y2.side) < d) == eps1
                 assert (2 * e2.on(report.y1.side) < d) == eps2
-                eta.append(eta[-1] + 1 - int(eps1) - int(eps2))
-            assert report.eta == tuple(eta[:40])
+            assert report.eta == oracles.eta_recursion(tree, report.x1, report.x2, 40)
 
     def test_internal_check_message_rebuilds_the_tree(self, monkeypatch, two22):
         module = importlib.import_module("treeabel.compare")
@@ -135,3 +140,29 @@ class TestHalfGenusTail:
         rebuilt = CurveTree.from_data(json.loads(message.split("; tree: ", 1)[1]))
         monkeypatch.undo()
         assert compare_principals(rebuilt, 3) == compare_principals(two22, 3)
+
+
+class TestAgainstOracles:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        spec=st.builds(
+            GenSpec,
+            genus=st.integers(1, 10).map(lambda half: 2 * half),
+            max_components=st.integers(2, 21),
+            seed=st.integers(0, 2**32),
+            force_delta_half=st.just(True),
+        ),
+        dmax=st.integers(1, 40),
+    )
+    def test_report_is_rebuilt_from_the_paper_construction(self, spec, dmax):
+        tree = random_tree(spec)
+        report = compare_principals(tree, dmax)
+        x1, x2 = oracles.semicentral_bruteforce(*oracles.tree_data(tree))
+        y1 = oracles.half_genus_tail_scan(tree, x2)
+        y2 = oracles.half_genus_tail_scan(tree, x1)
+        eta = oracles.eta_recursion(tree, x1, x2, dmax)
+        assert report.eta == eta == tuple(d % 2 for d in range(1, dmax + 1))
+        assert (report.y1, report.y2) == (y1, y2)
+        assert report == ComparisonReport(
+            x1, x2, y1, y2, eta, True, e_sequence(tree, x1, dmax), e_sequence(tree, x2, dmax)
+        )
