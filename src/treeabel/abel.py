@@ -4,7 +4,10 @@ With e_1 the unit multidegree at the principal component X, the paper's
 canonical sequence is e_{d+1} = e_d + e_1 + one twist by O(-Z) for each
 tail Z avoiding X that is big for e_d, that is, with omega(Z) = 2 g_Z - 1,
 
-    d_Z * (2g - 2) - d * omega(Z) < 2 g_Z - g.
+    d_Z * (2g - 2) - d * omega(Z) < 2 g_Z - g,
+
+that is, d_Z < lo_{d+1}(Z), the lowest semistable degree of Z in total
+degree d + 1, since 2 g_Z - g = omega(Z) - (g - 1).
 
 Rooted at X, two tails avoiding X are nested or disjoint, so a twist by Z,
 which moves one unit across the node of Z, and adding e_1 leave the degree
@@ -15,10 +18,10 @@ recursion, t_1 = 0 and t_{d+1} = t_d + [Z big at step d], solved by
     t_d(Z) = min(d - 1, c_d),   c_d = ceil((d * omega(Z) - (g - 1)) / (2g - 2)):
 
 Z is big at step d exactly when t_d < c_{d+1}, and c_d >= 0 grows by at
-most one per degree since omega(Z) <= 2g - 3.  c_d is the X-quasistable
-degree of Z, so the clamp only bites for off-centre X.  :func:`twist_step`,
-:func:`big_tails` and :func:`abel1` keep the step-by-step construction,
-which the tests hold the closed forms to.
+most one per degree since omega(Z) <= 2g - 3.  c_d = lo_d(Z) is the
+X-quasistable degree of Z, so the clamp only bites for off-centre X.
+:func:`twist_step`, :func:`big_tails` and :func:`abel1` keep the
+step-by-step construction, which the tests hold the closed forms to.
 
 Point images are purely formal: a divisor is a vector of integer
 coefficients on smooth-point labels and on node branches (a node n with
@@ -33,7 +36,7 @@ from collections import Counter
 from collections.abc import Mapping, Sequence
 
 from .classify import is_small_tail, small_tail_at_node, small_tails
-from .curves import CurveTree, Multidegree, Tail, _tail_window, _Value
+from .curves import CurveTree, Multidegree, Tail, _tail_windows, _Value
 
 
 class SmoothPoint(_Value):
@@ -161,13 +164,10 @@ def e1(tree: CurveTree, xpr: str) -> Multidegree:
 
 def _big(tree: CurveTree, md: Multidegree, component_id: str) -> list[bool]:
     """Whether each tail is big for md and avoids the component (``tails`` order)."""
-    g = tree.genus
-    d = md.total
+    windows = _tail_windows(md.total + 1, tree.genus, tree.tail_genera)
     return [
-        away and dz * (2 * g - 2) - d * (2 * gz - 1) < 2 * gz - g
-        for dz, gz, away in zip(
-            tree.tail_sums(md.degrees), tree.tail_genera, tree.avoids(component_id)
-        )
+        away and dz < lo
+        for dz, (lo, _), away in zip(tree.tail_sums(md.degrees), windows, tree.avoids(component_id))
     ]
 
 
@@ -284,11 +284,12 @@ def abel_d(tree: CurveTree, xpr: str, config: Sequence[Point]) -> DivisorRep:
     ]
     acc: dict[tuple[str, int, str], int] = Counter(keys)
     held = tree.tail_sums(tree.multidegree(Counter(key[0] for key in keys)).degrees)
-    for tail, (inside, outside), gz, away, is_small, c in zip(
-        tails, tree.tail_end_positions, tree.tail_genera, avoids, small, held
+    windows = _tail_windows(d, g, tree.tail_genera)
+    for tail, (inside, outside), (lo, _), away, is_small, c in zip(
+        tails, tree.tail_end_positions, windows, avoids, small, held
     ):
         # t_d(Z) = min(d - 1, the lowest semistable degree of Z)
-        count = (min(d - 1, _tail_window(d, g, gz)[0]) if away else 0) - (c if is_small else 0)
+        count = (min(d - 1, lo) if away else 0) - (c if is_small else 0)
         if count:
             _add_twist(acc, tail.node, ids[inside], ids[outside], count)
     return _divisor(acc)

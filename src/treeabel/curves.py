@@ -295,14 +295,18 @@ def validate(data: object) -> ValidationReport:
     return ValidationReport()
 
 
-def _tail_window(d: int, genus: int, tail_genus: int) -> range:
-    """Semistable degrees t of a tail: |(4g-4) t - 2 d omega_Z| <= 2g-2.
+def _tail_windows(d: int, genus: int, tail_genera: Iterable[int]) -> list[tuple[int, int]]:
+    """Per tail Z: its semistable degrees lo..hi, |(4g-4) t - 2 d omega_Z| <= 2g-2.
 
-    One or two integers; a tail avoiding X takes the lowest when quasistable.
+    omega_Z = 2 g_Z - 1, and the window holds one or two integers.  On an
+    X-quasistable multidegree a tail avoiding X takes lo and a tail
+    containing X takes hi.
     """
     h = genus - 1
-    omega = 2 * tail_genus - 1
-    return range(-(-(d * omega - h) // (2 * h)), (d * omega + h) // (2 * h) + 1)
+    return [
+        (-(-(d * (2 * gz - 1) - h) // (2 * h)), (d * (2 * gz - 1) + h) // (2 * h))
+        for gz in tail_genera
+    ]
 
 
 class CurveTree(_Value):
@@ -463,6 +467,7 @@ class CurveTree(_Value):
         Given a multidegree's degrees this is each tail's degree; given the
         genera, each tail's genus.  Aligned with :attr:`tails`.
         """
+        self._check_length(values)
         below = self._below(values)
         return tuple(
             below[v] if is_below else below[0] - below[v]
@@ -511,6 +516,7 @@ class CurveTree(_Value):
         Each twist moves one unit of degree across the tail's node, onto
         its end inside Z; the total degree is unchanged.
         """
+        self._check_length(md.degrees)
         degrees = list(md.degrees)
         for (inside, outside), count in zip(self.tail_end_positions, counts, strict=True):
             degrees[inside] += count
@@ -526,9 +532,13 @@ class CurveTree(_Value):
                 self._component(cid)
             return Multidegree(tuple(spec.get(cid, 0) for cid in self.ids))
         degrees = tuple(spec)
-        if len(degrees) != len(self.ids):
-            raise ValueError(f"expected {len(self.ids)} degrees, got {len(degrees)}")
+        self._check_length(degrees)
         return Multidegree(degrees)
+
+    def _check_length(self, values: Sequence[int]) -> None:
+        """Raise ``ValueError`` unless there is one value per component."""
+        if len(values) != len(self.ids):
+            raise ValueError(f"expected {len(self.ids)} degrees, got {len(values)}")
 
     def zero_multidegree(self) -> Multidegree:
         return Multidegree((0,) * len(self.ids))

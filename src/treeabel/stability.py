@@ -7,10 +7,8 @@ subcurve Y when
 
 and D-quasistability at a component X additionally requires the strict
 lower bound on every subcurve containing X.  The thresholds are
-half-integers and the boundary cases matter, so every comparison here is
-done after clearing denominators: multiply through by 2*(2g - 2) and
-compare integers.  No rational or floating-point arithmetic is used
-anywhere.
+half-integers and the boundary cases matter, so no rational or
+floating-point arithmetic is used anywhere.
 
 The same predicates can be phrased through the canonical polarization, a
 vector bundle of rank 2g - 2 (rank 1 when D = g - 1) whose degree on Y is
@@ -24,7 +22,11 @@ union of k_Y tails, and both the slack and the bound add over those tails
 (the slack at Y is minus their sum), so the node inequalities imply every
 other one, and strict upper bounds on the tails avoiding X imply the strict
 lower bounds for quasistability.  The two tails at a node have opposite
-slacks, so each node pins one tail degree to a window of length one.  The
+slacks, so each node pins its tail degrees to windows lo..hi of one or two
+integers, and the tail checks compare each tail degree against those
+bounds: semistable within them, X-quasistable at lo on a tail avoiding X
+and at hi on a tail containing X.  The per-subcurve forms, which take
+any subcurve, instead compare integers after clearing denominators.  The
 brute-force check over all subsets is kept as a test-only oracle.
 """
 
@@ -34,7 +36,7 @@ from collections.abc import Sequence
 from itertools import product
 from math import prod
 
-from .curves import CurveTree, Multidegree, Subcurve, _tail_window, _Value
+from .curves import CurveTree, Multidegree, Subcurve, _tail_windows, _Value
 
 
 class StabilityVerdict(_Value):
@@ -72,7 +74,11 @@ def polarization(tree: CurveTree, d: int) -> Polarization:
 
 
 def _slack(tree: CurveTree, md: Multidegree, sub: Subcurve) -> tuple[int, int]:
-    """Scaled slack and bound: (2(2g-2) d_Y - 2 D omega_Y, (2g-2) k_Y)."""
+    """Scaled slack and bound: (2(2g-2) d_Y - 2 D omega_Y, (2g-2) k_Y).
+
+    Both sides of the bound are multiplied through by 2(2g - 2), which
+    clears the denominators and leaves integers to compare.
+    """
     g = tree.genus
     return (
         2 * (2 * g - 2) * md.on(sub) - 2 * md.total * tree.omega_degree(sub),
@@ -80,16 +86,17 @@ def _slack(tree: CurveTree, md: Multidegree, sub: Subcurve) -> tuple[int, int]:
     )
 
 
-def _check_proper(tree: CurveTree, sub: Subcurve) -> None:
+def _check_proper(tree: CurveTree, md: Multidegree, sub: Subcurve) -> None:
     if sub.mask == 0:
         raise ValueError("subcurve must be non-empty")
     if sub.mask == tree.full.mask:
         raise ValueError("subcurve must be proper")
+    tree._check_length(md.degrees)
 
 
 def is_semistable_at(tree: CurveTree, md: Multidegree, sub: Subcurve) -> bool:
     """Two-sided bound at one subcurve; holds at Y iff it holds at Y'."""
-    _check_proper(tree, sub)
+    _check_proper(tree, md, sub)
     slack, bound = _slack(tree, md, sub)
     return -bound <= slack <= bound
 
@@ -101,7 +108,7 @@ def chi_form_semistable_at(tree: CurveTree, md: Multidegree, sub: Subcurve) -> b
     per subcurve; evaluated at both W = sub and W = sub' it is exactly the
     two-sided bound of :func:`is_semistable_at`.
     """
-    _check_proper(tree, sub)
+    _check_proper(tree, md, sub)
     pol = polarization(tree, md.total)
     return _chi_holds(tree, md, sub, pol) and _chi_holds(
         tree, md, tree.complement(sub), pol
@@ -115,24 +122,13 @@ def _chi_holds(tree: CurveTree, md: Multidegree, sub: Subcurve, pol: Polarizatio
     return chi * pol.rank >= -pol.degree_on(sub)
 
 
-def _tail_slacks(tree: CurveTree, md: Multidegree) -> tuple[list[int], int]:
-    """Scaled slack per tail, where omega(Z) = 2 g_Z - 1, and the bound (k_Z = 1)."""
-    g = tree.genus
-    d = md.total
-    slacks = [
-        2 * (2 * g - 2) * dz - 2 * d * (2 * gz - 1)
-        for dz, gz in zip(tree.tail_sums(md.degrees), tree.tail_genera)
-    ]
-    return slacks, 2 * g - 2
-
-
 def is_semistable(tree: CurveTree, md: Multidegree) -> StabilityVerdict:
     """Check semistability at the two tails of every node."""
-    slacks, bound = _tail_slacks(tree, md)
+    windows = _tail_windows(md.total, tree.genus, tree.tail_genera)
     witnesses = tuple(
-        (tail.side, "upper" if slack > 0 else "lower")
-        for tail, slack in zip(tree.tails, slacks)
-        if not -bound <= slack <= bound
+        (tail.side, "upper" if dz > hi else "lower")
+        for tail, dz, (lo, hi) in zip(tree.tails, tree.tail_sums(md.degrees), windows)
+        if not lo <= dz <= hi
     )
     return StabilityVerdict(not witnesses, witnesses)
 
@@ -141,13 +137,14 @@ def is_quasistable(tree: CurveTree, md: Multidegree, component_id: str) -> bool:
     """Semistable, with the strict lower bound on subcurves containing X.
 
     On tails this reads: strict upper bound on each tail avoiding X, strict
-    lower bound on each tail containing X.
+    lower bound on each tail containing X, that is, degree lo on the first
+    and hi on the second.
     """
     avoids = tree.avoids(component_id)
-    slacks, bound = _tail_slacks(tree, md)
+    windows = _tail_windows(md.total, tree.genus, tree.tail_genera)
     return all(
-        -bound <= slack < bound if away else -bound < slack <= bound
-        for slack, away in zip(slacks, avoids)
+        dz == (lo if away else hi)
+        for dz, (lo, hi), away in zip(tree.tail_sums(md.degrees), windows, avoids)
     )
 
 
@@ -155,9 +152,10 @@ def _semistable_choices(tree: CurveTree, d: int) -> list[Sequence[int]]:
     """Per tail: the twist counts a semistable multidegree of degree d allows it."""
     if d < 0:
         raise ValueError(f"total degree must be >= 0, got {d}")
+    windows = _tail_windows(d, tree.genus, tree.tail_genera)
     return [
-        _tail_window(d, tree.genus, gz) if away else (0,)
-        for gz, away in zip(tree.tail_genera, tree.avoids(tree.ids[0]))
+        range(lo, hi + 1) if away else (0,)
+        for (lo, hi), away in zip(windows, tree.avoids(tree.ids[0]))
     ]
 
 
@@ -183,13 +181,11 @@ def enumerate_semistable(tree: CurveTree, d: int) -> tuple[Multidegree, ...]:
 def enumerate_quasistable(tree: CurveTree, d: int, component_id: str) -> tuple[Multidegree, ...]:
     """The X-quasistable multidegree of total degree d, which is unique.
 
-    Each tail Z avoiding X takes ceil((2 d omega_Z - (2g - 2)) / (4g - 4)),
+    Each tail Z avoiding X takes lo = ceil((2 d omega_Z - (2g - 2)) / (4g - 4)),
     the one degree its half-open window allows; returned as a 1-tuple.
     """
     if d < 0:
         raise ValueError(f"total degree must be >= 0, got {d}")
-    counts = [
-        _tail_window(d, tree.genus, gz)[0] if away else 0
-        for gz, away in zip(tree.tail_genera, tree.avoids(component_id))
-    ]
+    windows = _tail_windows(d, tree.genus, tree.tail_genera)
+    counts = [lo if away else 0 for (lo, _), away in zip(windows, tree.avoids(component_id))]
     return (tree.twist(tree.unit_multidegree(component_id).scaled(d), counts),)

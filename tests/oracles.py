@@ -3,10 +3,12 @@
 Everything here works on plain ids, dicts and sets, with its own graph
 traversal, so the oracles share no code path with the library: the
 library checks the two tails at each node on a rooted index, the oracles
-check every subset the slow way.  The one exception is
-:func:`eta_recursion`, the paper's construction of eta, which is built from
-the library's step-by-step referees (``e_sequence`` and ``big_tails``) to
-hold ``compare_principals``'s closed form eta_d = d mod 2 to it.
+check every subset the slow way, or find each tail by its own traversal
+and restate its inequality as the scaled slack against the bound.  The one
+exception is :func:`eta_recursion`, the paper's construction of eta,
+which is built from the library's step-by-step referees (``e_sequence``
+and ``big_tails``) to hold ``compare_principals``'s closed form
+eta_d = d mod 2 to it.
 """
 
 from __future__ import annotations
@@ -164,21 +166,81 @@ def connected_subcurves(tree: CurveTree) -> list:
     return [tree.subcurve(members) for members in connected_subsets_bruteforce(genus_map, edges)]
 
 
+def node_tails(tree: CurveTree) -> list:
+    """(node, side) for both sides of every node, in the library's ``tails`` order.
+
+    Nodes by id, then the smaller side first, equal sizes by their sorted
+    members; each side is found by a traversal of the tree without its node.
+    """
+    genus_map, edges = tree_data(tree)
+    out = []
+    for node in sorted(tree.nodes, key=lambda n: n.id):
+        parts = connected_parts([edge for edge in edges if edge != tuple(node.ends)], genus_map)
+        out += [(node, side) for side in sorted(parts, key=lambda p: (len(p), sorted(p)))]
+    return out
+
+
+def tail_slack(genus_map, degrees, side) -> tuple[int, int]:
+    """A tail's scaled slack 2(2g-2) d_Z - 2 d omega_Z, omega_Z = 2 g_Z - 1, and its bound 2g-2."""
+    g = sum(genus_map.values())
+    d = sum(degrees.values())
+    d_z = sum(degrees[c] for c in side)
+    g_z = sum(genus_map[c] for c in side)
+    return 2 * (2 * g - 2) * d_z - 2 * d * (2 * g_z - 1), 2 * g - 2
+
+
+def slack_witnesses(tree: CurveTree, degrees) -> tuple:
+    """(side, "upper" or "lower") per tail whose slack passes its bound, in ``tails`` order."""
+    genus_map, _ = tree_data(tree)
+    out = []
+    for _, side in node_tails(tree):
+        slack, bound = tail_slack(genus_map, degrees, side)
+        if not -bound <= slack <= bound:
+            out.append((tree.subcurve(side), "upper" if slack > 0 else "lower"))
+    return tuple(out)
+
+
+def slack_quasistable(tree: CurveTree, degrees, component) -> bool:
+    """Strict upper bound on each tail avoiding the component, strict lower on each holding it."""
+    genus_map, _ = tree_data(tree)
+    for _, side in node_tails(tree):
+        slack, bound = tail_slack(genus_map, degrees, side)
+        if component in side and not -bound < slack <= bound:
+            return False
+        if component not in side and not -bound <= slack < bound:
+            return False
+    return True
+
+
+def big_tails_inequality(tree: CurveTree, degrees, component) -> tuple[Tail, ...]:
+    """Tails Z avoiding the component that are big: d_Z (2g - 2) - d omega_Z < 2 g_Z - g."""
+    genus_map, _ = tree_data(tree)
+    g = sum(genus_map.values())
+    d = sum(degrees.values())
+    out = []
+    for node, side in node_tails(tree):
+        d_z = sum(degrees[c] for c in side)
+        g_z = sum(genus_map[c] for c in side)
+        if component not in side and d_z * (2 * g - 2) - d * (2 * g_z - 1) < 2 * g_z - g:
+            out.append(Tail(node.id, tree.subcurve(side)))
+    return tuple(out)
+
+
 def half_genus_tail_scan(tree: CurveTree, component_id: str) -> Tail:
     """The genus-g/2 tail whose node's outside end is the component.
 
     Scans both sides of every node, each found by its own traversal, and
     requires exactly one match.
     """
-    genus_map, edges = tree_data(tree)
+    genus_map, _ = tree_data(tree)
     g = sum(genus_map.values())
-    matches = []
-    for node in tree.nodes:
-        parts = connected_parts([edge for edge in edges if edge != tuple(node.ends)], genus_map)
-        for inside, outside in (node.ends, node.ends[::-1]):
-            side = next(part for part in parts if inside in part)
-            if outside == component_id and 2 * sum(genus_map[c] for c in side) == g:
-                matches.append(Tail(node.id, tree.subcurve(side)))
+    matches = [
+        Tail(node.id, tree.subcurve(side))
+        for node, side in node_tails(tree)
+        if component_id in node.ends
+        and component_id not in side
+        and 2 * sum(genus_map[c] for c in side) == g
+    ]
     assert len(matches) == 1, f"{len(matches)} genus-g/2 tails outside '{component_id}'"
     return matches[0]
 

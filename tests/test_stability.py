@@ -3,9 +3,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from treeabel import (
+    GenSpec,
+    Multidegree,
+    big_tails,
     chi_form_semistable_at,
     enumerate_quasistable,
     enumerate_semistable,
@@ -13,6 +18,7 @@ from treeabel import (
     is_semistable,
     is_semistable_at,
     polarization,
+    random_tree,
 )
 from treeabel.stability import count_semistable
 
@@ -245,3 +251,89 @@ class TestAgainstAllSubsetsOracle:
                         assert is_quasistable(tree, md, cid) == (
                             oracles.quasistable_all_subsets(genus_map, edges, degrees, cid)
                         )
+
+
+class TestWrongLength:
+    """Every entry point that reads a caller's degrees checks their count."""
+
+    ENTRY_POINTS = {
+        "is_semistable": is_semistable,
+        "is_quasistable": lambda t, md: is_quasistable(t, md, "C1"),
+        "big_tails": lambda t, md: big_tails(t, md, "C1"),
+        "tail_sums": lambda t, md: t.tail_sums(md.degrees),
+        "twist": lambda t, md: t.twist(md, (0, 0)),
+        "is_semistable_at": lambda t, md: is_semistable_at(t, md, t.subcurve(["C1"])),
+        "chi_form_semistable_at": lambda t, md: chi_form_semistable_at(
+            t, md, t.subcurve(["C1"])
+        ),
+    }
+
+    @pytest.mark.parametrize("degrees", [(1, 0, 5), (1,)])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_rejected(self, two22, entry, degrees):
+        with pytest.raises(ValueError, match=f"^expected 2 degrees, got {len(degrees)}$"):
+            self.ENTRY_POINTS[entry](two22, Multidegree(degrees))
+
+
+def window_degrees(tree, d, shifts):
+    """A multidegree of total d at or near every tail window, moved by ``shifts``.
+
+    Each tail avoiding the first component gets its degree nearest
+    d * omega_Z / (2g - 2), which is semistable; the shifts, with their sum
+    taken off the first component so the total stays d, push tails onto or
+    just past the ends of their windows.
+    """
+    genus_map, _ = oracles.tree_data(tree)
+    g = sum(genus_map.values())
+    root = tree.ids[0]
+    degrees = dict.fromkeys(tree.ids, 0)
+    degrees[root] = d
+    for node, side in oracles.node_tails(tree):
+        if root in side:
+            continue
+        inside, outside = node.ends if node.ends[0] in side else node.ends[::-1]
+        omega = 2 * sum(genus_map[c] for c in side) - 1
+        target = (2 * d * omega + 2 * g - 2) // (4 * g - 4)
+        degrees[inside] += target
+        degrees[outside] -= target
+    values = [degrees[cid] + shift for cid, shift in zip(tree.ids, shifts)]
+    values[0] -= sum(shifts)
+    return values
+
+
+@st.composite
+def trees_with_degrees(draw):
+    tree = random_tree(
+        draw(
+            st.builds(
+                GenSpec,
+                genus=st.integers(2, 20),
+                max_components=st.integers(2, 12),
+                seed=st.integers(0, 2**32),
+            )
+        )
+    )
+    n = len(tree.ids)
+    entries = st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n)
+    near = st.builds(
+        lambda d, shifts: window_degrees(tree, d, shifts),
+        st.integers(-10**6, 10**6),
+        st.lists(st.integers(-1, 1), min_size=n, max_size=n),
+    )
+    return tree, tree.multidegree(draw(st.one_of(entries, near)))
+
+
+class TestTailWindowReferee:
+    """Each tail decision read from the window equals the slack-form oracle."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=trees_with_degrees())
+    def test_matches_slack_oracle(self, case):
+        tree, md = case
+        degrees = tree.multidegree_as_dict(md)
+        witnesses = oracles.slack_witnesses(tree, degrees)
+        assert is_semistable(tree, md).witnesses == witnesses
+        assert is_semistable(tree, md).semistable == (not witnesses)
+        for cid in tree.ids:
+            assert is_quasistable(tree, md, cid) == oracles.slack_quasistable(tree, degrees, cid)
+            assert big_tails(tree, md, cid) == oracles.big_tails_inequality(tree, degrees, cid)
