@@ -182,6 +182,7 @@ def twist_step(tree: CurveTree, md: Multidegree, component_id: str) -> Multidegr
     Applied to an X-quasistable multidegree this yields an X-quasistable
     multidegree of total degree one higher.
     """
+    tree._check_length(md.degrees)
     return tree.twist(md + tree.unit_multidegree(component_id), _big(tree, md, component_id))
 
 
@@ -196,16 +197,15 @@ def e_sequence(tree: CurveTree, xpr: str, dmax: int) -> tuple[Multidegree, ...]:
     if dmax < 1:
         raise ValueError(f"dmax must be >= 1, got {dmax}")
     h = tree.genus - 1
+    x = tree._component(xpr)
+    ends, genera = tree.tail_end_positions, tree.tail_genera
     rises: list[list[tuple[int, int]]] = [[] for _ in range(dmax + 1)]
-    for ends, gz, away in zip(tree.tail_end_positions, tree.tail_genera, tree.avoids(xpr)):
-        if not away:
-            continue
+    for i in tree._away_tails(x):
         for t in range(1, dmax):
-            d = max(t + 1, (2 * t - 1) * h // (2 * gz - 1) + 1)
+            d = max(t + 1, (2 * t - 1) * h // (2 * genera[i] - 1) + 1)
             if d > dmax:
                 break
-            rises[d].append(ends)
-    x = tree._component(xpr)
+            rises[d].append(ends[i])
     degrees = [0] * len(tree.ids)
     seq = []
     for d in range(1, dmax + 1):

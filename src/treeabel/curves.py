@@ -10,7 +10,9 @@ Every question the package decides reduces to facts about tails, the two
 sides of a node.  The traversal that checks treeness (a BFS from component
 0) also builds the tree's one rooted index, from which come the tails and
 one O(n) primitive, :meth:`CurveTree.tail_sums`, giving every tail's degree
-or genus.
+or genus.  Which tail at each node avoids a component X is read from X's
+path to the root of that index (:meth:`CurveTree.avoids`): the tail below
+a node's subtree root avoids X exactly when that root is off the path.
 
 Subcurves are bitsets over the canonical (lexicographic) component order,
 which keeps complements and containment tests cheap and every enumeration
@@ -505,10 +507,34 @@ class CurveTree(_Value):
         end_a, end_b = self.node_ends(tail.node)
         return (end_a, end_b) if self.contains(tail.side, end_a) else (end_b, end_a)
 
+    def _away_tails(self, x: int) -> list[int]:
+        """Per node, in ``_edges`` order: the index in :attr:`tails` of its tail avoiding x.
+
+        The subtree rooted at v holds x exactly when v is on x's path to the
+        root, so the tail below v avoids x exactly when v is off that path.
+        """
+        parent = self._parent
+        on_path = [False] * len(self.ids)
+        while x >= 0:
+            on_path[x] = True
+            x = parent[x]
+        roots = self._tail_roots
+        # tail i of a node avoids x unless its side (below v or not) is x's side
+        return [
+            i + (on_path[v] == below)
+            for i, (v, below) in zip(range(0, len(roots), 2), roots[::2])
+        ]
+
     def avoids(self, component_id: str) -> tuple[bool, ...]:
-        """Whether each tail avoids the component, aligned with :attr:`tails`."""
-        unit = self.unit_multidegree(component_id).degrees
-        return tuple(not inside for inside in self.tail_sums(unit))
+        """Whether each tail avoids the component, aligned with :attr:`tails`.
+
+        Read from the component's path to the root of the rooted index: at
+        each node, the tail away from that path is the one avoiding it.
+        """
+        away = [False] * len(self._tail_roots)
+        for i in self._away_tails(self._component(component_id)):
+            away[i] = True
+        return tuple(away)
 
     def twist(self, md: Multidegree, counts: Sequence[int]) -> Multidegree:
         """Twist by O(-Z) counts[i] times for the i-th tail Z of :attr:`tails`.
@@ -549,4 +575,5 @@ class CurveTree(_Value):
         return Multidegree(tuple(degrees))
 
     def multidegree_as_dict(self, md: Multidegree) -> dict[str, int]:
-        return dict(zip(self.ids, md.degrees, strict=True))
+        self._check_length(md.degrees)
+        return dict(zip(self.ids, md.degrees))

@@ -25,9 +25,13 @@ lower bounds for quasistability.  The two tails at a node have opposite
 slacks, so each node pins its tail degrees to windows lo..hi of one or two
 integers, and the tail checks compare each tail degree against those
 bounds: semistable within them, X-quasistable at lo on a tail avoiding X
-and at hi on a tail containing X.  The per-subcurve forms, which take
-any subcurve, instead compare integers after clearing denominators.  The
-brute-force check over all subsets is kept as a test-only oracle.
+and at hi on a tail containing X.  The degrees of the n - 1 tails avoiding
+X and the total pin a multidegree, and the complement of a tail at lo sits
+at its own hi, so in each total degree the X-quasistable multidegree is
+one closed form, and md is X-quasistable iff it equals that form at md's
+total.  The per-subcurve forms, which take any subcurve, instead compare
+integers after clearing denominators.  The brute-force check over all
+subsets is kept as a test-only oracle.
 """
 
 from __future__ import annotations
@@ -133,19 +137,37 @@ def is_semistable(tree: CurveTree, md: Multidegree) -> StabilityVerdict:
     return StabilityVerdict(not witnesses, witnesses)
 
 
+def _quasistable_degrees(tree: CurveTree, d: int, x: int) -> list[int]:
+    """The X-quasistable degrees of total d, for X at canonical position x.
+
+    d on X, then each tail Z avoiding X twisted lo_d(Z) times, which puts
+    degree lo_d(Z) on Z; its complement gets d - lo_d(Z), the top of the
+    complement's window.  Holds for every integer d.
+    """
+    away = tree._away_tails(x)
+    ends = tree.tail_end_positions
+    genera = tree.tail_genera
+    degrees = [0] * len(tree.ids)
+    degrees[x] = d
+    for i, (lo, _) in zip(away, _tail_windows(d, tree.genus, [genera[i] for i in away])):
+        inside, outside = ends[i]
+        degrees[inside] += lo
+        degrees[outside] -= lo
+    return degrees
+
+
 def is_quasistable(tree: CurveTree, md: Multidegree, component_id: str) -> bool:
     """Semistable, with the strict lower bound on subcurves containing X.
 
     On tails this reads: strict upper bound on each tail avoiding X, strict
     lower bound on each tail containing X, that is, degree lo on the first
-    and hi on the second.
+    and hi on the second.  The n - 1 tails avoiding X and the total fix a
+    multidegree, so md is X-quasistable iff it equals the closed form of
+    :func:`enumerate_quasistable` at its own total, negative or not.
     """
-    avoids = tree.avoids(component_id)
-    windows = _tail_windows(md.total, tree.genus, tree.tail_genera)
-    return all(
-        dz == (lo if away else hi)
-        for dz, (lo, hi), away in zip(tree.tail_sums(md.degrees), windows, avoids)
-    )
+    x = tree._component(component_id)
+    tree._check_length(md.degrees)
+    return list(md.degrees) == _quasistable_degrees(tree, md.total, x)
 
 
 def _semistable_choices(tree: CurveTree, d: int) -> list[Sequence[int]]:
@@ -186,6 +208,4 @@ def enumerate_quasistable(tree: CurveTree, d: int, component_id: str) -> tuple[M
     """
     if d < 0:
         raise ValueError(f"total degree must be >= 0, got {d}")
-    windows = _tail_windows(d, tree.genus, tree.tail_genera)
-    counts = [lo if away else 0 for (lo, _), away in zip(windows, tree.avoids(component_id))]
-    return (tree.twist(tree.unit_multidegree(component_id).scaled(d), counts),)
+    return (Multidegree(tuple(_quasistable_degrees(tree, d, tree._component(component_id)))),)

@@ -189,6 +189,16 @@ def tail_slack(genus_map, degrees, side) -> tuple[int, int]:
     return 2 * (2 * g - 2) * d_z - 2 * d * (2 * g_z - 1), 2 * g - 2
 
 
+def tail_lo(genus_map, d, side) -> int:
+    """The least degree of a tail in total d whose slack, as in :func:`tail_slack`, is >= -bound.
+
+    2(2g-2) t - 2 d omega_Z >= -(2g-2), so t = ceil((2 d omega_Z - (2g-2)) / (4g-4)).
+    """
+    g = sum(genus_map.values())
+    omega = 2 * sum(genus_map[c] for c in side) - 1
+    return -((2 * g - 2 - 2 * d * omega) // (4 * g - 4))
+
+
 def slack_witnesses(tree: CurveTree, degrees) -> tuple:
     """(side, "upper" or "lower") per tail whose slack passes its bound, in ``tails`` order."""
     genus_map, _ = tree_data(tree)

@@ -3,10 +3,24 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import treeabel
-from treeabel import CurveTree, InvalidTreeError, Subcurve, curves, validate
+from test_scale import chain, star
+from treeabel import (
+    CurveTree,
+    GenSpec,
+    InvalidTreeError,
+    Subcurve,
+    curves,
+    e_sequence,
+    enumerate_quasistable,
+    is_quasistable,
+    random_tree,
+    validate,
+)
 
 
 def data(components, nodes):
@@ -365,6 +379,62 @@ class TestTails:
         for tree in corpus500[:150]:
             for tail, (inside, outside) in zip(tree.tails, tree.tail_end_positions):
                 assert tree.tail_ends(tail) == (tree.ids[inside], tree.ids[outside])
+
+
+def assert_avoids_match_tail_masks(tree):
+    for cid in tree.ids:
+        avoids = tree.avoids(cid)
+        for i, tail in enumerate(tree.tails):
+            assert avoids[i] == (not tree.contains(tail.side, cid)), (tree.to_data(), cid, i)
+
+
+class TestRootPathAvoids:
+    """X's side of every node comes from X's path to the root; the tail masks referee it."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        spec=st.builds(
+            GenSpec,
+            genus=st.integers(2, 20),
+            max_components=st.integers(2, 12),
+            seed=st.integers(0, 2**32),
+        )
+    )
+    def test_matches_tail_masks(self, spec):
+        assert_avoids_match_tail_masks(random_tree(spec))
+
+    @pytest.mark.parametrize("build, size", [(chain, 1001), (star, 40)], ids=["chain1001", "star40"])
+    def test_matches_tail_masks_at_scale(self, build, size):
+        assert_avoids_match_tail_masks(build(size))
+
+    def test_hot_path_takes_no_unit_tail_sums(self, corpus500, monkeypatch):
+        cases = []
+        for tree in corpus500[:30]:
+            # the cached tail data is read once per tree, before any query
+            tree.tail_genera, tree.tail_end_positions
+            mds = [md for cid in tree.ids for md in e_sequence(tree, cid, 5)]
+            cases.append((tree, mds, self.answers(tree, mds)))
+
+        def refuse(*args):
+            raise AssertionError("unit-vector tail sums on the hot path")
+
+        monkeypatch.setattr(CurveTree, "tail_sums", refuse)
+        monkeypatch.setattr(CurveTree, "unit_multidegree", refuse)
+        for tree, mds, answers in cases:
+            assert self.answers(tree, mds) == answers
+
+    @staticmethod
+    def answers(tree, mds):
+        """avoids, is_quasistable on mds, enumerate_quasistable and e_sequence, per component."""
+        return [
+            (
+                tree.avoids(cid),
+                [is_quasistable(tree, md, cid) for md in mds],
+                [enumerate_quasistable(tree, d, cid) for d in range(5)],
+                e_sequence(tree, cid, 6),
+            )
+            for cid in tree.ids
+        ]
 
 
 class TestConnectedSubcurves:

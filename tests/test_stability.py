@@ -19,6 +19,7 @@ from treeabel import (
     is_semistable_at,
     polarization,
     random_tree,
+    twist_step,
 )
 from treeabel.stability import count_semistable
 
@@ -262,6 +263,8 @@ class TestWrongLength:
         "big_tails": lambda t, md: big_tails(t, md, "C1"),
         "tail_sums": lambda t, md: t.tail_sums(md.degrees),
         "twist": lambda t, md: t.twist(md, (0, 0)),
+        "twist_step": lambda t, md: twist_step(t, md, "C1"),
+        "multidegree_as_dict": lambda t, md: t.multidegree_as_dict(md),
         "is_semistable_at": lambda t, md: is_semistable_at(t, md, t.subcurve(["C1"])),
         "chi_form_semistable_at": lambda t, md: chi_form_semistable_at(
             t, md, t.subcurve(["C1"])
@@ -275,6 +278,25 @@ class TestWrongLength:
             self.ENTRY_POINTS[entry](two22, Multidegree(degrees))
 
 
+def tail_degrees(tree, d, component, tail_degree):
+    """Degrees of total d: d on the component, then each tail Z avoiding it
+    twisted to degree ``tail_degree(side of Z)``.
+
+    Rooted at the component, the tails avoiding it are nested or disjoint,
+    so each twist leaves the degree of every other such tail unchanged.
+    """
+    degrees = dict.fromkeys(tree.ids, 0)
+    degrees[component] = d
+    for node, side in oracles.node_tails(tree):
+        if component in side:
+            continue
+        inside, outside = node.ends if node.ends[0] in side else node.ends[::-1]
+        target = tail_degree(side)
+        degrees[inside] += target
+        degrees[outside] -= target
+    return [degrees[cid] for cid in tree.ids]
+
+
 def window_degrees(tree, d, shifts):
     """A multidegree of total d at or near every tail window, moved by ``shifts``.
 
@@ -285,19 +307,32 @@ def window_degrees(tree, d, shifts):
     """
     genus_map, _ = oracles.tree_data(tree)
     g = sum(genus_map.values())
-    root = tree.ids[0]
-    degrees = dict.fromkeys(tree.ids, 0)
-    degrees[root] = d
-    for node, side in oracles.node_tails(tree):
-        if root in side:
-            continue
-        inside, outside = node.ends if node.ends[0] in side else node.ends[::-1]
+
+    def nearest(side):
         omega = 2 * sum(genus_map[c] for c in side) - 1
-        target = (2 * d * omega + 2 * g - 2) // (4 * g - 4)
-        degrees[inside] += target
-        degrees[outside] -= target
-    values = [degrees[cid] + shift for cid, shift in zip(tree.ids, shifts)]
+        return (2 * d * omega + 2 * g - 2) // (4 * g - 4)
+
+    values = [
+        value + shift
+        for value, shift in zip(tail_degrees(tree, d, tree.ids[0], nearest), shifts)
+    ]
     values[0] -= sum(shifts)
+    return values
+
+
+def quasistable_degrees(tree, d, component, move):
+    """The component's quasistable multidegree of total d, or one unit off it.
+
+    Each tail avoiding the component sits at the oracle's lowest semistable
+    degree; a ``move`` (i, j) then moves one unit from the i-th component to
+    the j-th, which leaves it quasistable only when i == j.
+    """
+    genus_map, _ = oracles.tree_data(tree)
+    values = tail_degrees(tree, d, component, lambda side: oracles.tail_lo(genus_map, d, side))
+    if move is not None:
+        i, j = move
+        values[i] -= 1
+        values[j] += 1
     return values
 
 
@@ -320,7 +355,13 @@ def trees_with_degrees(draw):
         st.integers(-10**6, 10**6),
         st.lists(st.integers(-1, 1), min_size=n, max_size=n),
     )
-    return tree, tree.multidegree(draw(st.one_of(entries, near)))
+    quasi = st.builds(
+        lambda d, component, move: quasistable_degrees(tree, d, component, move),
+        st.integers(-10**6, 10**6),
+        st.sampled_from(tree.ids),
+        st.none() | st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+    )
+    return tree, tree.multidegree(draw(st.one_of(entries, near, quasi)))
 
 
 class TestTailWindowReferee:
