@@ -20,8 +20,10 @@ recursion, t_1 = 0 and t_{d+1} = t_d + [Z big at step d], solved by
 Z is big at step d exactly when t_d < c_{d+1}, and c_d >= 0 grows by at
 most one per degree since omega(Z) <= 2g - 3.  c_d = lo_d(Z) is the
 X-quasistable degree of Z, so the clamp only bites for off-centre X.
-:func:`twist_step`, :func:`big_tails` and :func:`abel1` keep the
-step-by-step construction, which the tests hold the closed forms to.
+:func:`twist_step` and :func:`big_tails` keep the step-by-step
+construction of e_d, which the tests hold the closed forms to; the paper's
+stepwise degree-1 image is a test oracle, and :func:`abel1` is the
+one-point case of :func:`abel_d`.
 
 Point images are purely formal: a divisor is a vector of integer
 coefficients on smooth-point labels and on node branches (a node n with
@@ -35,7 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping, Sequence
 
-from .classify import is_small_tail, small_tail_at_node, small_tails
+from .classify import is_small_tail
 from .curves import CurveTree, Multidegree, Tail, _tail_windows, _Value
 
 
@@ -217,18 +219,6 @@ def e_sequence(tree: CurveTree, xpr: str, dmax: int) -> tuple[Multidegree, ...]:
     return tuple(seq)
 
 
-def _point_in_tail(tree: CurveTree, point: Point, tail: Tail) -> bool:
-    # A node point lies on both tails at its own node, and in any tail
-    # containing both ends of its node; a tail holding exactly one end is
-    # necessarily the tail at that very node.
-    if isinstance(point, SmoothPoint):
-        return tree.contains(tail.side, point.component)
-    if point.node == tail.node:
-        return True
-    end_a, end_b = tree.node_ends(point.node)
-    return tree.contains(tail.side, end_a) and tree.contains(tail.side, end_b)
-
-
 def _check_point(tree: CurveTree, point: Point) -> None:
     """Raise ``KeyError`` naming the point's node or component if the tree lacks it."""
     if isinstance(point, NodePoint):
@@ -238,58 +228,52 @@ def _check_point(tree: CurveTree, point: Point) -> None:
 
 
 def abel1(tree: CurveTree, xpr: str, point: Point) -> DivisorRep:
-    """Degree-1 image of a point as a formal divisor.
+    """Degree-1 image of a point as a formal divisor: :func:`abel_d` of the one point.
 
-    Start from the point itself (for a node, from the branch of the node
-    on its small tail), then twist up by every small tail containing the
-    point.  The multidegree of the result is e_1 for every point.
+    Its multidegree is e_1 for every point.
     """
-    _check_point(tree, point)
-    if isinstance(point, SmoothPoint):
-        acc = {_symbol_key(point): 1}
-    else:
-        inside = tree.tail_ends(small_tail_at_node(tree, xpr, point.node))[0]
-        acc = {(inside, 1, point.node): 1}
-    for tail in small_tails(tree, xpr):
-        if _point_in_tail(tree, point, tail):
-            _add_twist(acc, tail.node, *tree.tail_ends(tail), -1)
-    return _divisor(acc)
+    return abel_d(tree, xpr, (point,))
 
 
 def abel_d(tree: CurveTree, xpr: str, config: Sequence[Point]) -> DivisorRep:
-    """Degree-d image of an ordered point configuration, in one pass.
+    """Degree-d image of an ordered point configuration, in one pass over the nodes.
 
     The paper twists the sum of the degree-1 images down t_d(Z) times by
     each tail Z avoiding X.  Each degree-1 image is the point's symbol
-    twisted up by the small tails holding it, and a node point lies in a
-    small tail exactly when its symbol's component does.  So each tail Z is
-    twisted once, t_d(Z) [Z avoids X] - c_Z [Z small] times, where c_Z
-    counts the symbols in Z.  The image is symmetric in the configuration.
+    twisted up by the small tails holding it, where a node point's symbol
+    is its branch on the small tail at its node, so a point lies in a small
+    tail exactly when its symbol's component does.  At each node exactly
+    one of the two tails is small, a twist by one is minus a twist by the
+    other, and their symbol counts c_Z and c_Z' add up to d.  So only the
+    tail Z avoiding X is twisted, min(d - 1, lo_d(Z)) - c_Z + d [Z not small]
+    times.  The image is symmetric in the configuration.
     """
     if not config:
         raise ValueError("point configuration must be non-empty")
     for point in config:
         _check_point(tree, point)
-    d, g, ids, tails = len(config), tree.genus, tree.ids, tree.tails
-    avoids = tree.avoids(xpr)
-    small = [is_small_tail(g, gz, away) for gz, away in zip(tree.tail_genera, avoids)]
-    small_ends = {
-        tail.node: ids[ends[0]]
-        for tail, ends, is_small in zip(tails, tree.tail_end_positions, small)
-        if is_small
-    }
-    keys = [
-        (p.component, 0, p.label) if isinstance(p, SmoothPoint) else (small_ends[p.node], 1, p.node)
-        for p in config
-    ]
+    d, g, ids = len(config), tree.genus, tree.ids
+    ends, genera = tree.tail_end_positions, tree.tail_genera
+    away = tree._away_tails(tree._component(xpr))
+    small = [is_small_tail(g, genera[i], True) for i in away]
+    symbols = [0] * len(ids)
+    keys = []
+    for p in config:
+        if isinstance(p, SmoothPoint):
+            pos, key = tree._component(p.component), (p.component, 0, p.label)
+        else:
+            k = tree._edge(p.node)
+            pos = ends[away[k]][0 if small[k] else 1]
+            key = (ids[pos], 1, p.node)
+        symbols[pos] += 1
+        keys.append(key)
     acc: dict[tuple[str, int, str], int] = Counter(keys)
-    held = tree.tail_sums(tree.multidegree(Counter(key[0] for key in keys)).degrees)
-    windows = _tail_windows(d, g, tree.tail_genera)
-    for tail, (inside, outside), (lo, _), away, is_small, c in zip(
-        tails, tree.tail_end_positions, windows, avoids, small, held
-    ):
+    held = tree.tail_sums(symbols)
+    windows = _tail_windows(d, g, (genera[i] for i in away))
+    for (node, _, _), i, is_small, (lo, _) in zip(tree._edges, away, small, windows):
         # t_d(Z) = min(d - 1, the lowest semistable degree of Z)
-        count = (min(d - 1, lo) if away else 0) - (c if is_small else 0)
+        count = min(d - 1, lo) - held[i] + (0 if is_small else d)
         if count:
-            _add_twist(acc, tail.node, ids[inside], ids[outside], count)
+            inside, outside = ends[i]
+            _add_twist(acc, node, ids[inside], ids[outside], count)
     return _divisor(acc)

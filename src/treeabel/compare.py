@@ -56,10 +56,10 @@ def compare_principals(tree: CurveTree, dmax: int) -> ComparisonReport:
     if {tree.ids[inside], tree.ids[outside]} != {x1, x2}:
         raise _internal_error(
             tree,
-            f"the genus-g/2 node '{tree.tails[i].node}' does not join "
+            f"the genus-g/2 node '{tree._edges[i // 2][0]}' does not join "
             f"the semicentral components '{x1}', '{x2}'",
         )
-    y2, y1 = tree.tails[i], tree.tails[i ^ 1]
+    y2, y1 = tree._tail(i), tree._tail(i ^ 1)
     if tree.ids[outside] != x1:
         y1, y2 = y2, y1
 

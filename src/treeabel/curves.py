@@ -487,6 +487,17 @@ class CurveTree(_Value):
             Tail(self._edges[i // 2][0], Subcurve(mask)) for i, mask in enumerate(masks)
         )
 
+    def _tail(self, i: int) -> Tail:
+        """The i-th tail of :attr:`tails` alone, in O(n), without building the others."""
+        n, parent = len(self.ids), self._parent
+        v, below = self._tail_roots[i]
+        inside = [False] * n
+        inside[v] = True
+        for w in self._order[1:]:
+            inside[w] = inside[w] or inside[parent[w]]
+        mask = int("".join("01"[bit] for bit in reversed(inside)), 2)
+        return Tail(self._edges[i // 2][0], Subcurve(mask if below else self.full.mask ^ mask))
+
     @cached_property
     def tail_genera(self) -> tuple[int, ...]:
         """Genus of each tail, aligned with :attr:`tails`."""

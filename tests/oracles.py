@@ -8,14 +8,24 @@ and restate its inequality as the scaled slack against the bound.  The one
 exception is :func:`eta_recursion`, the paper's construction of eta,
 which is built from the library's step-by-step referees (``e_sequence``
 and ``big_tails``) to hold ``compare_principals``'s closed form
-eta_d = d mod 2 to it.
+eta_d = d mod 2 to it.  :func:`census` lists every stable tree of a given
+genus, so that a closed form can be checked on all of them.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, product
 
-from treeabel import CurveTree, Tail, big_tails, e_sequence
+from treeabel import (
+    Branch,
+    CurveTree,
+    DivisorRep,
+    SmoothPoint,
+    Tail,
+    big_tails,
+    e_sequence,
+)
 
 
 def tree_data(tree: CurveTree) -> tuple[dict[str, int], list[tuple[str, str]]]:
@@ -272,3 +282,118 @@ def eta_recursion(tree: CurveTree, x1: str, x2: str, dmax: int) -> tuple[int, ..
         eps2 = y1 in big_tails(tree, seq2[d - 1], x2)
         eta.append(eta[-1] + 1 - int(eps1) - int(eps2))
     return tuple(eta)
+
+
+def abel1_stepwise(tree: CurveTree, xpr: str, point) -> DivisorRep:
+    """The paper's degree-1 image: the point's symbol, twisted up by every small tail holding it.
+
+    A tail is small when its genus is below g/2, or exactly g/2 with xpr
+    outside it.  A node point's symbol is the branch of its node on the
+    small tail there; the point lies in both tails at its own node, and in
+    any other tail exactly when the tail holds both ends of its node.
+    """
+    genus_map, _ = tree_data(tree)
+    g = sum(genus_map.values())
+    small = []
+    for node, side in node_tails(tree):
+        g_z = sum(genus_map[c] for c in side)
+        if 2 * g_z < g or (2 * g_z == g and xpr not in side):
+            inside, outside = node.ends if node.ends[0] in side else node.ends[::-1]
+            small.append((node.id, side, inside, outside))
+    if isinstance(point, SmoothPoint):
+        acc = {point: 1}
+    else:
+        (inside,) = [end for nid, _, end, _ in small if nid == point.node]
+        acc = {Branch(point.node, inside): 1}
+        (ends,) = [set(node.ends) for node in tree.nodes if node.id == point.node]
+    for nid, side, inside, outside in small:
+        if isinstance(point, SmoothPoint):
+            holds = point.component in side
+        else:
+            holds = nid == point.node or ends <= side
+        if holds:
+            acc[Branch(nid, inside)] = acc.get(Branch(nid, inside), 0) - 1
+            acc[Branch(nid, outside)] = acc.get(Branch(nid, outside), 0) + 1
+    return DivisorRep.from_mapping(acc)
+
+
+@cache
+def _hanging(genus: int) -> tuple:
+    """Rooted trees of total genus ``genus`` that hang from a parent in a stable tree.
+
+    A tree is (root genus, children), the children a multiset as listed by
+    :func:`_forests`.  The root also meets its parent, so with at most one
+    child it needs genus >= 1, and with genus 0 it needs two children.
+    """
+    # below a genus-0 root every child has smaller genus, so there are two or more
+    return tuple(sorted(
+        (root, kids)
+        for root in range(genus + 1)
+        for kids in _forests(genus - root, 1, genus - root if root else genus - 1)
+    ))
+
+
+@cache
+def _forests(total: int, least: int, most: int) -> tuple:
+    """Multisets of hanging trees of genus least..most each, genera summing to ``total``.
+
+    Each multiset is a sorted tuple of (genus, tree) pairs.
+    """
+    if total == 0:
+        return ((),)
+    out = []
+    for first in range(least, min(total, most) + 1):
+        for tree in _hanging(first):
+            for rest in _forests(total - first, first, most):
+                # keep the multiset sorted, so each is listed once
+                if not rest or (first, tree) <= rest[0]:
+                    out.append(((first, tree),) + rest)
+    return tuple(out)
+
+
+def _ahu(genera, adjacent, v, parent) -> str:
+    kids = sorted(_ahu(genera, adjacent, w, v) for w in adjacent[v] if w != parent)
+    return f"({genera[v]}{''.join(kids)})"
+
+
+def _centre_key(genera, edges) -> str:
+    """AHU string with genera, rooted at the centre; with two centres, the smaller one."""
+    adjacent = {v: set() for v in range(len(genera))}
+    for a, b in edges:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    left = set(adjacent)
+    while len(left) > 2:
+        leaves = {v for v in left if len(adjacent[v] & left) <= 1}
+        left -= leaves
+    return min(_ahu(genera, adjacent, v, -1) for v in left)
+
+
+def census(genus: int) -> dict[str, CurveTree]:
+    """Every stable genus-weighted tree of the given genus, up to isomorphism.
+
+    Keyed by the AHU string with genera rooted at the centre.  Each tree is
+    listed rooted at one vertex, as a root genus and a multiset of hanging
+    trees (a genus-0 root needs three of them), and the isomorphic listings
+    from other roots fall together on the key.
+    """
+    found: dict[str, CurveTree] = {}
+    for root in range(genus + 1):
+        for kids in _forests(genus - root, 1, genus):
+            if not root and len(kids) < 3:
+                continue
+            genera, edges = [root], []
+            stack = [(0, tree) for _, tree in kids]
+            while stack:
+                parent, (g_v, grandkids) = stack.pop()
+                v = len(genera)
+                genera.append(g_v)
+                edges.append((parent, v))
+                stack += [(v, tree) for _, tree in grandkids]
+            key = _centre_key(genera, edges)
+            if key not in found:
+                found[key] = CurveTree.build(
+                    [(f"C{v:02d}", g_v) for v, g_v in enumerate(genera)],
+                    [(f"n{i:02d}", f"C{a:02d}", f"C{b:02d}") for i, (a, b) in enumerate(edges)],
+                )
+    return found

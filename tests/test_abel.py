@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import treeabel.abel
 from treeabel import (
     Branch,
@@ -148,6 +149,15 @@ class TestAbel1:
         for q in (NodePoint("n1"), SmoothPoint("C0", "p"), SmoothPoint("C2", "p")):
             assert abel1(star0, "C0", q).multidegree(star0) == e1(star0, "C0")
 
+    def test_every_principal_choice_is_the_stepwise_image(self, corpus500, delta50):
+        # every X, off-centre ones included, on the corpus and on half-genus trees
+        for tree in corpus500[:80] + delta50:
+            points = [NodePoint(n.id) for n in tree.nodes]
+            points += [SmoothPoint(cid, "p") for cid in tree.ids]
+            for xpr in tree.ids:
+                for q in points:
+                    assert abel1(tree, xpr, q) == oracles.abel1_stepwise(tree, xpr, q)
+
     def test_multidegree_is_e1_everywhere(self, corpus500):
         for tree in corpus500[:150]:
             xpr = principal_component(tree)
@@ -172,7 +182,7 @@ class TestAbelD:
         for tree in (two22, chain111):
             xpr = principal_component(tree)
             for q in (SmoothPoint(tree.ids[0], "p"), NodePoint(tree.nodes[0].id)):
-                assert abel_d(tree, xpr, (q,)) == abel1(tree, xpr, q)
+                assert abel_d(tree, xpr, (q,)) == oracles.abel1_stepwise(tree, xpr, q)
 
     def test_double_node_image_balanced(self, two22):
         n = NodePoint("n")
@@ -228,6 +238,19 @@ class TestAbelD:
                 rng.shuffle(shuffled)
                 assert abel_d(tree, xpr, tuple(shuffled)) == image
 
+    def test_fresh_tree_builds_no_tail_masks(self, monkeypatch, corpus500, delta50):
+        def refuse(*args):
+            raise AssertionError("avoids called")
+
+        monkeypatch.setattr(CurveTree, "avoids", refuse)
+        for tree in (corpus500[7], delta50[3]):
+            fresh = CurveTree.from_data(tree.to_data())
+            points = (NodePoint(fresh.nodes[0].id), SmoothPoint(fresh.ids[-1], "p")) * 2
+            for xpr in fresh.ids:
+                abel_d(fresh, xpr, points)
+                abel1(fresh, xpr, points[0])
+            assert "tails" not in fresh.__dict__
+
 
 def twist_step_chain(tree, xpr, dmax):
     """e_1 .. e_dmax by the paper's recursion, one twist_step per degree."""
@@ -238,11 +261,12 @@ def twist_step_chain(tree, xpr, dmax):
 
 
 def abel_d_stepwise(tree, xpr, config):
-    """The degree-d image by the twist stack itself: the sum of the abel1
-    images, twisted down by every big tail of e_1 .. e_{d-1}, one at a time."""
+    """The degree-d image by the twist stack itself: the sum of the stepwise
+    degree-1 images, twisted down by every big tail of e_1 .. e_{d-1}, one
+    at a time."""
     acc = {}
     for point in config:
-        for sym, c in abel1(tree, xpr, point).coeffs:
+        for sym, c in oracles.abel1_stepwise(tree, xpr, point).coeffs:
             acc[sym] = acc.get(sym, 0) + c
     for md in twist_step_chain(tree, xpr, len(config) - 1):
         for tail in big_tails(tree, md, xpr):
@@ -299,6 +323,33 @@ class TestESequenceAgainstTwistStep:
         monkeypatch.setattr(treeabel.abel, "twist_step", refuse)
         for xpr in tree.ids:
             treeabel.abel.e_sequence(tree, xpr, 20)
+
+
+class TestCensus:
+    """Every stable tree of small genus, up to isomorphism."""
+
+    def test_counts(self):
+        counts = [len(oracles.census(g)) for g in range(2, 9)]
+        assert counts == [2, 4, 11, 30, 105, 380, 1555]
+
+    def test_abel_d_on_one_and_two_points(self):
+        # every semicentral X, every point (one label per component, every
+        # node), and every configuration of one or two of them
+        checked = 0
+        for g in range(2, 6):
+            for tree in oracles.census(g).values():
+                points = [SmoothPoint(cid, "p") for cid in tree.ids]
+                points += [NodePoint(n.id) for n in tree.nodes]
+                for xpr in semicentral_components(tree):
+                    ones = {q: oracles.abel1_stepwise(tree, xpr, q) for q in points}
+                    for q, image in ones.items():
+                        assert abel_d(tree, xpr, (q,)) == abel1(tree, xpr, q) == image
+                        checked += 1
+                    for i, q in enumerate(points):
+                        for r in points[i:]:
+                            assert abel_d(tree, xpr, (q, r)) == abel_d_stepwise(tree, xpr, (q, r))
+                            checked += 1
+        assert checked == 2263  # 384 one-point and 1,879 two-point images
 
 
 class TestAbelDAgainstStepwiseTwists:

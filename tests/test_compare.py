@@ -11,9 +11,13 @@ import oracles
 from treeabel import (
     ComparisonReport,
     CurveTree,
+    DivisorRep,
     GenSpec,
     InvalidTreeError,
+    NodePoint,
+    SmoothPoint,
     TwistDelta,
+    abel_d,
     big_tails,
     compare_principals,
     e_sequence,
@@ -94,6 +98,15 @@ class TestComparePrincipals:
             assert 2 * tree.subcurve_genus(report.y2.side) == g
 
 
+    def test_fresh_tree_builds_only_the_two_output_tails(self, delta50):
+        for tree in delta50[:10]:
+            fresh = CurveTree.from_data(tree.to_data())
+            report = compare_principals(fresh, 4)
+            assert "tails" not in fresh.__dict__
+            assert report == compare_principals(tree, 4)
+            assert {report.y1, report.y2} == set(tree.tails_at(report.y1.node))
+
+
 class TestDifferenceSupport:
     def test_two_components_vacuous(self, two22):
         report = compare_principals(two22, 3)
@@ -142,18 +155,18 @@ class TestHalfGenusTail:
         assert compare_principals(rebuilt, 3) == compare_principals(two22, 3)
 
 
+half_genus_specs = st.builds(
+    GenSpec,
+    genus=st.integers(1, 10).map(lambda half: 2 * half),
+    max_components=st.integers(2, 21),
+    seed=st.integers(0, 2**32),
+    force_delta_half=st.just(True),
+)
+
+
 class TestAgainstOracles:
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        spec=st.builds(
-            GenSpec,
-            genus=st.integers(1, 10).map(lambda half: 2 * half),
-            max_components=st.integers(2, 21),
-            seed=st.integers(0, 2**32),
-            force_delta_half=st.just(True),
-        ),
-        dmax=st.integers(1, 40),
-    )
+    @given(spec=half_genus_specs, dmax=st.integers(1, 40))
     def test_report_is_rebuilt_from_the_paper_construction(self, spec, dmax):
         tree = random_tree(spec)
         report = compare_principals(tree, dmax)
@@ -166,3 +179,18 @@ class TestAgainstOracles:
         assert report == ComparisonReport(
             x1, x2, y1, y2, eta, True, e_sequence(tree, x1, dmax), e_sequence(tree, x2, dmax)
         )
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(spec=half_genus_specs, data=st.data(), d=st.integers(1, 12))
+    def test_the_two_images_differ_by_one_translation(self, spec, data, d):
+        # abel_d(X1, P) = abel_d(X2, P) + (d mod 2) D(Y2) for every configuration P
+        tree = random_tree(spec)
+        x1, x2 = oracles.semicentral_bruteforce(*oracles.tree_data(tree))
+        y2 = oracles.half_genus_tail_scan(tree, x1)
+        points = [NodePoint(n.id) for n in tree.nodes]
+        points += [SmoothPoint(cid, label) for cid in tree.ids for label in ("p", "q")]
+        config = tuple(data.draw(st.lists(st.sampled_from(points), min_size=d, max_size=d)))
+        acc = dict(abel_d(tree, x2, config).coeffs)
+        for sym, c in twist_delta(tree, y2, 1).divisor.coeffs:
+            acc[sym] = acc.get(sym, 0) + (d % 2) * c
+        assert abel_d(tree, x1, config) == DivisorRep.from_mapping(acc)

@@ -4,12 +4,16 @@ A chain of 1,001 components and a 40-leaf star on a genus-0 hub.  The star
 has 2^40 connected subcurves, so only per-node work can finish on it; the
 chain checks that nothing is quadratic or worse in the number of nodes, and
 carries 200 degrees of e_d and a 200-point Abel image.  The generator's
-stability repair runs on a 10^5-vertex random shape.
+stability repair runs on a 10^5-vertex random shape.  On a fresh 20,000
+component chain, the traced memory peak of an Abel image and of a
+comparison is bounded: neither may build all of the Theta(n^2)-bit tail
+masks, which alone take over 100 MB there.
 """
 
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -20,6 +24,7 @@ from treeabel import (
     SmoothPoint,
     abel_d,
     classify,
+    compare_principals,
     e_sequence,
     enumerate_quasistable,
     is_quasistable,
@@ -104,3 +109,23 @@ def test_generator_repairs_a_100k_vertex_shape():
     # seed 26 draws a shape of 97,949 vertices, nearly all contracted away
     tree = random_tree(GenSpec(genus=40, max_components=100_000, seed=26))
     assert tree.genus == 40 and len(tree.ids) <= 2 * 40 - 2
+
+
+def traced_peak_mb(call) -> float:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_abel_d_and_compare_memory_on_a_20k_chain():
+    # a genus-1 chain of even length is a half-genus curve
+    points = (
+        SmoothPoint("C0000", "p"), NodePoint("n5000"), SmoothPoint("C9999", "q"), NodePoint("n5000")
+    )
+    tree = chain(20_000)
+    assert traced_peak_mb(lambda: abel_d(tree, "C9999", points)) < 48
+    tree = chain(20_000)
+    assert traced_peak_mb(lambda: compare_principals(tree, 1)) < 48
