@@ -19,22 +19,25 @@ recursion, t_1 = 0 and t_{d+1} = t_d + [Z big at step d], solved by
 
 Z is big at step d exactly when t_d < c_{d+1}, and c_d >= 0 grows by at
 most one per degree since omega(Z) <= 2g - 3.  c_d = lo_d(Z) is the
-X-quasistable degree of Z, so the clamp only bites for off-centre X.
-:func:`twist_step` and :func:`big_tails` keep the step-by-step
-construction of e_d, which the tests hold the closed forms to; the paper's
-stepwise degree-1 image is a test oracle, and :func:`abel1` is the
-one-point case of :func:`abel_d`.
+X-quasistable degree of Z, so the clamp only bites for off-centre X;
+:func:`e_sequence` runs each tail's rises up to t_dmax(Z) and no further.
+As lo_{d+2g-2}(Z) = lo_d(Z) + omega(Z), for semicentral X the sequence is
+periodic: e_{d+2g-2} = e_d + K_C, with K_C(C_i) = 2 g_i - 2 + val(C_i).
+:func:`twist_step` and :func:`big_tails` keep the step-by-step e_d, which
+the tests hold the closed forms to; the paper's stepwise degree-1 image is
+a test oracle, and :func:`abel1` is the one-point case of :func:`abel_d`.
 
 Point images are purely formal: a divisor is a vector of integer
 coefficients on smooth-point labels and on node branches (a node n with
 ends A, B yields the branch symbols n@A on A and n@B on B).  No linear
 equivalence on components is decided; two divisors are equal exactly when
-their coefficients agree.
+their coefficients agree.  :func:`abel_d` writes one coefficient per node
+slot (2k and 2k + 1 on the two ends of node k) and reads the components in
+id order, so its image comes out sorted, from branch symbols built once.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Mapping, Sequence
 
 from .classify import is_small_tail
@@ -79,15 +82,6 @@ def _symbol_key(sym: Symbol) -> tuple[str, int, str]:
     return (sym.component, 1, sym.node)
 
 
-def _divisor(acc: Mapping[tuple[str, int, str], int]) -> DivisorRep:
-    """The divisor with coefficients ``acc`` on symbol keys, symbols built only here."""
-    items = sorted((key, c) for key, c in acc.items() if c != 0)
-    return DivisorRep(tuple(
-        (SmoothPoint(cid, name) if kind == 0 else Branch(name, cid), c)
-        for (cid, kind, name), c in items
-    ))
-
-
 class DivisorRep(_Value):
     """Formal per-component divisor: integer coefficients on symbols.
 
@@ -102,7 +96,8 @@ class DivisorRep(_Value):
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[Symbol, int]) -> "DivisorRep":
-        return _divisor({_symbol_key(sym): c for sym, c in mapping.items()})
+        items = [(sym, c) for sym, c in mapping.items() if c != 0]
+        return cls(tuple(sorted(items, key=lambda item: _symbol_key(item[0]))))
 
     def coefficient(self, sym: Symbol) -> int:
         for symbol, value in self.coeffs:
@@ -151,14 +146,6 @@ def twist_delta(tree: CurveTree, tail: Tail, sign: int) -> TwistDelta:
     return TwistDelta(tail, md, rep)
 
 
-def _add_twist(
-    acc: dict[tuple[str, int, str], int], node: str, inside: str, outside: str, count: int
-) -> None:
-    """Add ``count`` times the divisor of the twist by O(-Z) to ``acc``, on symbol keys."""
-    for key, c in (((inside, 1, node), count), ((outside, 1, node), -count)):
-        acc[key] = acc.get(key, 0) + c
-
-
 def e1(tree: CurveTree, xpr: str) -> Multidegree:
     """Degree-1 canonical multidegree: one on the principal component."""
     return tree.unit_multidegree(xpr)
@@ -195,19 +182,19 @@ def e_sequence(tree: CurveTree, xpr: str, dmax: int) -> tuple[Multidegree, ...]:
     t_d(Z) rises one at a time and first reaches t at the least d with
     d - 1 >= t and c_d >= t, d = max(t + 1, floor((2t - 1)(g - 1) / omega(Z)) + 1),
     so e_d is e_{d-1} plus a unit at X and one twist by each tail rising at d.
+    Each tail rises for t = 1 .. t_dmax(Z) = min(dmax - 1, lo_dmax(Z)) only.
+    For semicentral X, e_{d+2g-2} = e_d + K_C, the canonical multidegree.
     """
     if dmax < 1:
         raise ValueError(f"dmax must be >= 1, got {dmax}")
-    h = tree.genus - 1
-    x = tree._component(xpr)
-    ends, genera = tree.tail_end_positions, tree.tail_genera
+    h, x = tree.genus - 1, tree._component(xpr)
+    ends, genera, away = tree.tail_end_positions, tree.tail_genera, tree._away_tails(x)
     rises: list[list[tuple[int, int]]] = [[] for _ in range(dmax + 1)]
-    for i in tree._away_tails(x):
-        for t in range(1, dmax):
-            d = max(t + 1, (2 * t - 1) * h // (2 * genera[i] - 1) + 1)
-            if d > dmax:
-                break
-            rises[d].append(ends[i])
+    for i, (lo, _) in zip(away, _tail_windows(dmax, tree.genus, (genera[i] for i in away))):
+        omega, step = 2 * genera[i] - 1, ends[i]
+        for t in range(1, min(dmax - 1, lo) + 1):
+            d = (2 * t - 1) * h // omega + 1
+            rises[d if d > t else t + 1].append(step)
     degrees = [0] * len(tree.ids)
     seq = []
     for d in range(1, dmax + 1):
@@ -217,14 +204,6 @@ def e_sequence(tree: CurveTree, xpr: str, dmax: int) -> tuple[Multidegree, ...]:
             degrees[outside] -= 1
         seq.append(Multidegree(tuple(degrees)))
     return tuple(seq)
-
-
-def _check_point(tree: CurveTree, point: Point) -> None:
-    """Raise ``KeyError`` naming the point's node or component if the tree lacks it."""
-    if isinstance(point, NodePoint):
-        tree.node_ends(point.node)
-    else:
-        tree.genus_of(point.component)
 
 
 def abel1(tree: CurveTree, xpr: str, point: Point) -> DivisorRep:
@@ -247,33 +226,52 @@ def abel_d(tree: CurveTree, xpr: str, config: Sequence[Point]) -> DivisorRep:
     other, and their symbol counts c_Z and c_Z' add up to d.  So only the
     tail Z avoiding X is twisted, min(d - 1, lo_d(Z)) - c_Z + d [Z not small]
     times.  The image is symmetric in the configuration.
+
+    Which end carries a node point's symbol never changes the image: moving
+    it into Z raises c_Z by one, which removes one twist by Z at that same
+    node.  So every node point is written on its node's end inside Z.  Each
+    node slot holds one coefficient, and the components are read in id
+    order, each giving its smooth labels (sorted), then its nonzero slots.
     """
     if not config:
         raise ValueError("point configuration must be non-empty")
-    for point in config:
-        _check_point(tree, point)
-    d, g, ids = len(config), tree.genus, tree.ids
-    ends, genera = tree.tail_end_positions, tree.tail_genera
-    away = tree._away_tails(tree._component(xpr))
-    small = [is_small_tail(g, genera[i], True) for i in away]
-    symbols = [0] * len(ids)
-    keys = []
+    symbols = [0] * len(tree.ids)
+    smooth: dict[tuple[int, str], list] = {}  # (position, label) -> [point, count]
+    at_nodes = []
     for p in config:
-        if isinstance(p, SmoothPoint):
-            pos, key = tree._component(p.component), (p.component, 0, p.label)
+        if isinstance(p, NodePoint):
+            at_nodes.append(tree._edge(p.node))
         else:
-            k = tree._edge(p.node)
-            pos = ends[away[k]][0 if small[k] else 1]
-            key = (ids[pos], 1, p.node)
-        symbols[pos] += 1
-        keys.append(key)
-    acc: dict[tuple[str, int, str], int] = Counter(keys)
+            pos = tree._component(p.component)
+            symbols[pos] += 1
+            smooth.setdefault((pos, p.label), [p, 0])[1] += 1
+    d, g, h = len(config), tree.genus, tree.genus - 1
+    genera, (slots, starts, tail_slots) = tree.tail_genera, tree._node_slots
+    away = tree._away_tails(tree._component(xpr))
+    coef = [0] * (2 * len(away))
+    for k in at_nodes:
+        symbols[tree.tail_end_positions[away[k]][0]] += 1
+        coef[tail_slots[away[k]]] += 1
     held = tree.tail_sums(symbols)
-    windows = _tail_windows(d, g, (genera[i] for i in away))
-    for (node, _, _), i, is_small, (lo, _) in zip(tree._edges, away, small, windows):
-        # t_d(Z) = min(d - 1, the lowest semistable degree of Z)
-        count = min(d - 1, lo) - held[i] + (0 if is_small else d)
+    for i in away:
+        gz = genera[i]
+        # t_d(Z) = min(d - 1, lo_d(Z)), lo as in _tail_windows
+        count = min(d - 1, -(-(d * (2 * gz - 1) - h) // (2 * h))) - held[i]
+        if not is_small_tail(g, gz, True):
+            count += d
         if count:
-            inside, outside = ends[i]
-            _add_twist(acc, node, ids[inside], ids[outside], count)
-    return _divisor(acc)
+            s = tail_slots[i]
+            coef[s] += count
+            coef[s ^ 1] -= count
+    if "_branches" not in tree.__dict__:  # built at a tree's first image, kept with its index
+        branches = (Branch(node, tree.ids[end]) for node, a, b in tree._edges for end in (a, b))
+        tree.__dict__["_branches"] = tuple(branches)
+    branches = tree.__dict__["_branches"]
+    coeffs: list[tuple[Symbol, int]] = []
+    done = 0
+    for (pos, _), (point, count) in sorted(smooth.items()):
+        coeffs += [(branches[s], coef[s]) for s in slots[done : starts[pos]] if coef[s]]
+        coeffs.append((point, count))
+        done = starts[pos]
+    coeffs += [(branches[s], coef[s]) for s in slots[done:] if coef[s]]
+    return DivisorRep(tuple(coeffs))

@@ -112,12 +112,11 @@ def small_tails(tree: CurveTree, xpr: str) -> tuple[Tail, ...]:
 
 
 def small_tail_at_node(tree: CurveTree, xpr: str, node_id: str) -> Tail:
-    """The unique small tail among the two tails at a node."""
+    """The unique small tail among the two tails at a node; only that tail is built."""
     i = 2 * tree._edge(node_id)
+    away = tree._away_tails(tree._component(xpr))[i // 2]
     candidates = [
-        t
-        for t, gz in zip(tree.tails[i : i + 2], tree.tail_genera[i : i + 2])
-        if is_small_tail(tree.genus, gz, not tree.contains(t.side, xpr))
+        j for j in (i, i + 1) if is_small_tail(tree.genus, tree.tail_genera[j], j == away)
     ]
     if len(candidates) != 1:
         raise _internal_error(
@@ -125,4 +124,4 @@ def small_tail_at_node(tree: CurveTree, xpr: str, node_id: str) -> Tail:
             f"node '{node_id}' has {len(candidates)} small tails "
             f"for principal component '{xpr}' on a tree of {len(tree.ids)} components",
         )
-    return candidates[0]
+    return tree._tail(candidates[0])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -13,12 +14,14 @@ from treeabel import (
     CurveTree,
     DivisorRep,
     GenSpec,
+    Multidegree,
     NodePoint,
     SmoothPoint,
     semicentral_components,
     abel1,
     abel_d,
     big_tails,
+    classify,
     e1,
     e_sequence,
     enumerate_quasistable,
@@ -251,6 +254,49 @@ class TestAbelD:
                 abel1(fresh, xpr, points[0])
             assert "tails" not in fresh.__dict__
 
+    def test_a_second_image_builds_no_branch(self, monkeypatch, corpus500):
+        built = []
+        init = Branch.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Branch, "__init__", counting)
+        tree = CurveTree.from_data(corpus500[7].to_data())
+        points = (NodePoint(tree.nodes[0].id), SmoothPoint(tree.ids[-1], "p")) * 2
+        first = abel_d(tree, tree.ids[0], points)
+        # the first image builds both branch symbols of every node
+        assert len(built) == 2 * len(tree.nodes)
+        built.clear()
+        for xpr in tree.ids:
+            abel_d(tree, xpr, points)
+            abel1(tree, xpr, points[0])
+        assert abel_d(tree, tree.ids[0], points) == first
+        assert built == []
+
+    def test_kept_symbols_leave_the_tree_value_unchanged(self, corpus500):
+        tree = CurveTree.from_data(corpus500[7].to_data())
+        points = (NodePoint(tree.nodes[0].id), SmoothPoint(tree.ids[0], "p"))
+        image = abel_d(tree, tree.ids[0], points)
+        assert "_branches" in tree.__dict__ and "_node_slots" in tree.__dict__
+        fresh = CurveTree.from_data(tree.to_data())
+        assert tree == fresh and hash(tree) == hash(fresh) and repr(tree) == repr(fresh)
+        copy = pickle.loads(pickle.dumps(tree))
+        assert copy == fresh and abel_d(copy, tree.ids[0], points) == image
+
+    def test_kept_symbols_carry_no_image_across_principal_choices(self, corpus500, delta50):
+        # one tree asked for every X in turn, against a fresh equal tree per X
+        rng = random.Random(73)
+        for tree in corpus500[:20] + delta50[:10] + [chain_tree(), star_tree()]:
+            kept = CurveTree.from_data(tree.to_data())
+            config = tuple(random_point(tree, rng) for _ in range(5))
+            for xpr in tree.ids:
+                fresh = CurveTree.from_data(tree.to_data())
+                assert abel_d(kept, xpr, config) == abel_d(fresh, xpr, config)
+                for q in config:
+                    assert abel1(kept, xpr, q) == abel1(CurveTree.from_data(tree.to_data()), xpr, q)
+
 
 def twist_step_chain(tree, xpr, dmax):
     """e_1 .. e_dmax by the paper's recursion, one twist_step per degree."""
@@ -350,6 +396,55 @@ class TestCensus:
                             assert abel_d(tree, xpr, (q, r)) == abel_d_stepwise(tree, xpr, (q, r))
                             checked += 1
         assert checked == 2263  # 384 one-point and 1,879 two-point images
+
+
+def canonical_degrees(tree):
+    """K_C(C_i) = 2 g_i - 2 + val(C_i), read from the tree description."""
+    genus_map, edges = oracles.tree_data(tree)
+    return tuple(
+        2 * genus_map[cid] - 2 + sum(cid in ends for ends in edges) for cid in sorted(genus_map)
+    )
+
+
+@pytest.fixture(scope="module")
+def census7():
+    """Every stable tree of genus 2 .. 7, up to isomorphism."""
+    return [tree for g in range(2, 8) for tree in oracles.census(g).values()]
+
+
+class TestCensusESequence:
+    """e_d and the principal choices on every stable tree of genus <= 7."""
+
+    def test_e_sequence_is_the_twist_step_chain_and_periodic(self, census7):
+        pairs = 0
+        for tree in census7:
+            period = 2 * tree.genus - 2
+            canonical = Multidegree(canonical_degrees(tree))
+            for xpr in semicentral_components(tree):
+                seq = e_sequence(tree, xpr, 3 * period)
+                assert seq == tuple(twist_step_chain(tree, xpr, 3 * period))
+                for d in range(1, 2 * period + 1):
+                    assert seq[d + period - 1] == seq[d - 1] + canonical
+                pairs += 1
+        assert pairs == 594
+
+    def test_unit_at_x_is_quasistable_exactly_when_x_is_semicentral(self, census7):
+        for tree in census7:
+            semicentral = semicentral_components(tree)
+            for xpr in tree.ids:
+                assert is_quasistable(tree, e1(tree, xpr), xpr) == (xpr in semicentral)
+
+    def test_central_or_two_semicentral_on_a_half_genus_curve(self, census7):
+        halves = 0
+        for tree in census7:
+            report = classify(tree)
+            if report.central:
+                assert report.central == report.semicentral and len(report.central) == 1
+                assert not report.in_delta_half
+            else:
+                assert len(report.semicentral) == 2 and report.in_delta_half
+                halves += 1
+        assert (len(census7) - halves, halves) == (470, 62)
 
 
 class TestAbelDAgainstStepwiseTwists:

@@ -5,9 +5,9 @@ has 2^40 connected subcurves, so only per-node work can finish on it; the
 chain checks that nothing is quadratic or worse in the number of nodes, and
 carries 200 degrees of e_d and a 200-point Abel image.  The generator's
 stability repair runs on a 10^5-vertex random shape.  On a fresh 20,000
-component chain, the traced memory peak of an Abel image and of a
-comparison is bounded: neither may build all of the Theta(n^2)-bit tail
-masks, which alone take over 100 MB there.
+component chain, the traced memory peak of an Abel image, a comparison
+and one node's tails is bounded: none may build all of the Theta(n^2)-bit
+tail masks, which alone take over 100 MB there.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from treeabel import (
     is_quasistable,
     is_semistable,
     random_tree,
+    small_tail_at_node,
 )
 
 
@@ -129,3 +130,12 @@ def test_abel_d_and_compare_memory_on_a_20k_chain():
     assert traced_peak_mb(lambda: abel_d(tree, "C9999", points)) < 48
     tree = chain(20_000)
     assert traced_peak_mb(lambda: compare_principals(tree, 1)) < 48
+
+
+def test_one_nodes_tails_memory_on_a_20k_chain():
+    # only the two tails at the node are built, not all 2(n - 1) masks
+    tree = chain(20_000)
+    assert traced_peak_mb(lambda: tree.tails_at("n5000")) < 48
+    tree = chain(20_000)
+    assert traced_peak_mb(lambda: small_tail_at_node(tree, "C9999", "n5000")) < 48
+    assert "tails" not in tree.__dict__
